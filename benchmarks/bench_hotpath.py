@@ -867,6 +867,55 @@ def bench_compaction(num_keys: int, num_runs: int) -> BenchResult:
     )
 
 
+def bench_backup_restore(num_keys: int, steps: int = 8,
+                         passes: int = 3) -> BenchResult:
+    """Incremental HDFS backups of a growing store (Figure 10's slow rung).
+
+    The store grows to ``steps`` times its first-backup size, one equal
+    batch of new keys per step, with a backup after every step. A backup
+    shares the store's immutable runs with the previous snapshot, so it
+    pays for the step's flush and nothing for the state already backed
+    up: ``backup_flatness`` (last backup / first backup) stays near 1
+    where a copying engine reads ``steps``. Compaction is held off so a
+    tier merge landing in one step's flush cannot pass for backup cost.
+    Each position takes its best time over ``passes`` identical stores.
+    """
+    per_step = max(1, num_keys // steps)
+    backup_walls = [float("inf")] * steps
+    restore_wall = float("inf")
+    for _ in range(passes):
+        metrics = MetricsRegistry()
+        engine = BackupEngine(HdfsBlobStore(clock=SimClock()),
+                              metrics=metrics)
+        store = LsmStore(name="bench-backup", compaction_trigger=10_000,
+                         memtable_flush_bytes=1 << 30, row_cache_size=0)
+        for step in range(steps):
+            base = step * per_step
+            for i in range(per_step):
+                store.put(f"key:{base + i:08d}", {"n": i, "lat": i % 97})
+            start = time.perf_counter()
+            engine.create_backup(store)
+            backup_walls[step] = min(backup_walls[step],
+                                     time.perf_counter() - start)
+        start = time.perf_counter()
+        restored = engine.restore("bench-backup", {})
+        restore_wall = min(restore_wall, time.perf_counter() - start)
+        assert restored.num_sstables == steps
+    return BenchResult(
+        "backup_restore", sum(backup_walls), per_step * steps,
+        metrics={
+            "first_backup_ms": backup_walls[0] * 1e3,
+            "last_backup_ms": backup_walls[-1] * 1e3,
+            "restore_ms": restore_wall * 1e3,
+            "backup_flatness": backup_walls[-1] / backup_walls[0],
+        },
+        counters={
+            "runs_uploaded": metrics.counter("backup.runs.uploaded").value,
+            "runs_reused": metrics.counter("backup.runs.reused").value,
+        },
+    )
+
+
 def bench_shard_scaling(n: int) -> BenchResult:
     """Throughput scaling at 1/2/4/8 shards on the modeled timeline.
 
@@ -1006,6 +1055,7 @@ def run_hotpath(quick: bool = False) -> dict:
         bench_dashboard_refresh(40_000 // scale),
         bench_windowed_agg(12_000 // scale),
         bench_compaction(16_000 // scale, 32),
+        bench_backup_restore(16_000 // scale),
         bench_shard_scaling(8_000 // scale),
         bench_backpressure(6_000 // scale),
     ]
@@ -1080,6 +1130,12 @@ def main(argv: list[str] | None = None) -> int:
           f"{compaction['max_incremental_pause_ms']:.1f}ms "
           f"(max step touches "
           f"{compaction['counters']['max_step_fraction']:.0%} of the store)")
+    backup = report["benchmarks"]["backup_restore"]
+    print(f"  incremental backup: first {backup['first_backup_ms']:.2f}ms, "
+          f"last (store 8x larger) {backup['last_backup_ms']:.2f}ms, "
+          f"restore {backup['restore_ms']:.3f}ms "
+          f"({backup['counters']['runs_uploaded']:.0f} runs uploaded, "
+          f"{backup['counters']['runs_reused']:.0f} reused)")
     scaling = report["benchmarks"]["shard_scaling"]
     print(f"  shard scaling: "
           f"{scaling['scaling_efficiency_2x']:.2f}x / "

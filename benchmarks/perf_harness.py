@@ -167,6 +167,7 @@ _FLOOR_RULES: list[tuple[str, str, float]] = [
     ("shard_scaling", "scaling_efficiency_4x", 2.5),
     ("backpressure", "credits_blocked", 1.0),
     ("backpressure", "depth_within_bound", 1.0),
+    ("backup_restore", "runs_reused", 1.0),
     # Macro scenarios (BENCH_macro.json, benchmarks/bench_macro.py):
     # every acceptance check green, and the headline behaviors — the
     # flash crowd sheds and triggers scaling, the hot key shows up in
@@ -183,6 +184,12 @@ _FLOOR_RULES: list[tuple[str, str, float]] = [
     ("macro_hot_key_skew", "shard_cost_imbalance", 1.5),
     ("macro_multi_tenant", "b_shed", 1.0),
     ("macro_session_trending", "joiner_cache_hit_rate", 0.8),
+]
+#: (benchmark, metric, ceiling): the same, for a ratio that must stay
+#: *under* its bar — a backup of a store 8x larger may cost at most 3x
+#: the first one (a copying backup engine reads 8x).
+_CEILING_RULES: list[tuple[str, str, float]] = [
+    ("backup_restore", "backup_flatness", 3.0),
 ]
 
 
@@ -234,13 +241,14 @@ def diff_reports(current: dict[str, Any], baseline: dict[str, Any],
                                    direction, COUNTER_TOLERANCE)
                     if found:
                         regressions.append(found)
-    for bench_name, metric, floor in _FLOOR_RULES:
-        bench = current.get("benchmarks", {}).get(bench_name)
-        if bench is None:
-            continue
-        value = bench.get(metric, bench.get("counters", {}).get(metric))
-        if value is not None and value < floor:
-            regressions.append(Regression(bench_name, metric,
-                                          baseline=floor, current=value,
-                                          threshold=0.0))
+    for rules, sign in ((_FLOOR_RULES, 1), (_CEILING_RULES, -1)):
+        for bench_name, metric, bar in rules:
+            bench = current.get("benchmarks", {}).get(bench_name)
+            if bench is None:
+                continue
+            value = bench.get(metric, bench.get("counters", {}).get(metric))
+            if value is not None and sign * value < sign * bar:
+                regressions.append(Regression(bench_name, metric,
+                                              baseline=bar, current=value,
+                                              threshold=0.0))
     return regressions

@@ -761,23 +761,26 @@ class RestartDerivesFromDurableState(FlowRule):
     and resume offsets from durable state — a literal 0 rewinds an
     at-least-once consumer to trimmed history (PR 3) or makes an adopted
     exactly-once task overwrite the previous owner's committed rows
-    (PR 8)."""
+    (PR 8). A ``mapping.get(key, 0)`` seed is that literal anywhere: the
+    default is what the first call after a restart takes (PR 13's
+    backup ids)."""
 
     rule_id = "R010"
     summary = ("restart paths derive checkpoint numbering and resume "
                "offsets from durable state, never a literal 0")
 
     _RESTART_TOKENS = ("resume", "recover", "adopt")
-    _POSITION_NAMES = ("checkpoint_index", "next_offset")
+    _POSITION_NAMES = ("checkpoint_index", "next_offset", "backup_id")
     _SEEK_NAMES = ("seek", "save_offset", "_save_checkpoint")
 
     def _check_function(self, ctx, func, summarizer):
-        if not self._restart_like(func):
-            return
+        restart = self._restart_like(func)
         for node in ast.walk(func.node):
             if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
-                yield from self._check_assign(ctx, node)
-            elif isinstance(node, ast.Call):
+                if _defaults_to_zero(node.value) or (
+                        restart and _is_zero(node.value)):
+                    yield from self._check_assign(ctx, node)
+            elif restart and isinstance(node, ast.Call):
                 yield from self._check_call(ctx, node)
 
     def _restart_like(self, func: _Func) -> bool:
@@ -789,8 +792,6 @@ class RestartDerivesFromDurableState(FlowRule):
         return any(token in name for token in self._RESTART_TOKENS)
 
     def _check_assign(self, ctx, node):
-        if not _is_zero(node.value):
-            return
         targets = node.targets if isinstance(node, ast.Assign) else [node.target]
         for target in targets:
             for leaf in ast.walk(target):
@@ -803,9 +804,10 @@ class RestartDerivesFromDurableState(FlowRule):
                     yield ctx.finding(self.rule_id, node, (
                         f"restart path pins {name!r} to literal 0; derive "
                         "it from durable state (state_backend.load / "
-                        "last_checkpoint_index / the saved checkpoint) so "
-                        "a restarted or adopted task resumes where the "
-                        "previous owner committed"))
+                        "last_checkpoint_index / the saved checkpoint / a "
+                        "listing of the stored blobs) so a restarted or "
+                        "adopted task resumes where the previous owner "
+                        "committed"))
                     return
 
     def _check_call(self, ctx, node):
@@ -826,3 +828,11 @@ class RestartDerivesFromDurableState(FlowRule):
 def _is_zero(node: ast.AST | None) -> bool:
     return (isinstance(node, ast.Constant) and node.value == 0
             and node.value is not False)
+
+
+def _defaults_to_zero(node: ast.AST | None) -> bool:
+    """``<mapping>.get(key, 0)``: a process-memory counter's zero seed."""
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "get"
+            and len(node.args) == 2 and _is_zero(node.args[1]))

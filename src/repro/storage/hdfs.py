@@ -39,6 +39,10 @@ class HdfsBlobStore:
     backups (:class:`~repro.storage.backup.BackupEngine`, Scribe
     snapshots) map it to :class:`~repro.errors.BackupNotFound` at their
     own layer — the blob store doesn't know what a blob means.
+
+    Blobs are kept *by reference*, never copied: callers hand ``put``
+    values nobody mutates afterwards (backups are tuples of immutable
+    SSTable runs) and must not mutate what ``get`` returns.
     """
 
     def __init__(self, clock: Clock | None = None,
@@ -115,4 +119,5 @@ class HdfsBlobStore:
         self._blobs.pop(name, None)
 
     def list(self, prefix: str = "") -> list[str]:
+        self._check_available("list")
         return sorted(name for name in self._blobs if name.startswith(prefix))

@@ -5,7 +5,9 @@ Architecture (a faithful miniature of RocksDB's write path):
 - mutations append to a :class:`~repro.storage.wal.WriteAheadLog`, then
   apply to the :class:`~repro.storage.memtable.Memtable`;
 - when the memtable exceeds ``memtable_flush_bytes`` it flushes to an
-  immutable :class:`~repro.storage.sstable.SSTable` at level 0;
+  immutable :class:`~repro.storage.sstable.SSTable` at level 0 — flush
+  and compaction only ever *replace* runs in the store's own list, which
+  is what lets backups and restored stores share them by reference;
 - when the run count exceeds ``compaction_trigger``, one *bounded*
   :meth:`compact_step` merges a contiguous same-level group of at most
   ``max_compact_runs`` runs into a run one level up, folding

@@ -18,7 +18,13 @@ from typing import Any, Iterable
 
 
 class MergeOperator(ABC):
-    """Folds a base value with a sequence of operands into a new value."""
+    """Folds a base value with a sequence of operands into a new value.
+
+    ``merge`` must be pure: it returns a new value and mutates neither
+    argument (nor may ``full_merge`` mutate its base). A mutating
+    operator already double-applies on a repeated ``get``; with runs
+    shared between a store and its snapshots it would corrupt those too.
+    """
 
     @abstractmethod
     def identity(self) -> Any:

@@ -32,6 +32,10 @@ class SSTable:
 
     Built either by flushing a memtable or by compacting older runs.
     Lookups are filter-gated binary searches; range scans are slices.
+    There is no mutator, and none may be added: the live store, its HDFS
+    snapshots and every store restored from them share run objects
+    (:mod:`repro.storage.backup`), and readers must not mutate the
+    entries or values a run hands out.
     """
 
     def __init__(self, entries: list[tuple[str, Entry]], level: int = 0) -> None:

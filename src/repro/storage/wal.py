@@ -37,9 +37,11 @@ class WalRecord:
 class WriteAheadLog:
     """Append-only mutation log with truncation at flush points."""
 
-    def __init__(self) -> None:
+    def __init__(self, start_sequence: int = 0) -> None:
+        # A log restored from a backup starts empty at the snapshot's
+        # ``flushed_seq``: everything below it is already in a run.
         self._records: list[WalRecord] = []
-        self._next_sequence = 0
+        self._next_sequence = start_sequence
 
     def append(self, op: WalOp, key: str, value: Any = None) -> WalRecord:
         record = WalRecord(self._next_sequence, op, key, value)

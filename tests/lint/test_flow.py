@@ -326,6 +326,29 @@ class TestR010RestartPaths:
             """, filename=STYLUS, flow=True)
         assert flow_rules(report) == []
 
+    def test_memory_counter_with_zero_default_is_flagged_anywhere(self, lint):
+        # The default is what the first call after a restart takes.
+        report = lint("""\
+            class Engine:
+                def create_backup(self, store):
+                    backup_id = self._next_id.get(store.name, 0)
+                    self.hdfs.put(f"b/{backup_id}", store)
+            """, filename=STYLUS, flow=True)
+        assert rules_hit(report) == ["R010"]
+
+    def test_zero_defaults_of_other_names_and_listed_ids_are_clean(self, lint):
+        report = lint("""\
+            class Engine:
+                def create_backup(self, store):
+                    seen = self._counts.get(store.name, 0)
+                    names = self.hdfs.list(store.name)
+                    backup_id = 0
+                    if names:
+                        backup_id = int(names[-1]) + 1
+                    self.hdfs.put(f"b/{backup_id}", (store, seen))
+            """, filename=STYLUS, flow=True)
+        assert flow_rules(report) == []
+
     def test_restart_marker_annotation(self, lint):
         report = lint("""\
             class T:

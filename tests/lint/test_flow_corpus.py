@@ -1,8 +1,9 @@
-"""The regression corpus: four chaos-found bugs, re-encoded statically.
+"""The regression corpus: five restart/ordering bugs, re-encoded statically.
 
 Each fixture under ``tests/lint/corpus/`` preserves the exact broken
-shape a chaos campaign once caught dynamically (PRs 3, 6, and 8), opted
-into the flow pass with ``# lint: effect[watch]``. The checker must
+shape a chaos campaign (PRs 3, 6, and 8) or a review (PR 13) once
+caught, opted into the flow pass with ``# lint: effect[watch]``. The
+checker must
 flag each with exactly one finding of the expected rule — and the fixed
 real tree must stay flow-clean, proving the rules encode the contract
 and not the bugs' incidental syntax.
@@ -22,6 +23,7 @@ EXPECTED = {
     "pr6_readahead_checkpoint.py": ("R008", "at-least-once"),
     "pr8_at_most_once_replay.py": ("R008", "at-most-once output"),
     "pr8_checkpoint_index_zero.py": ("R010", "_checkpoint_index"),
+    "pr13_backup_id_zero.py": ("R010", "'backup_id'"),
 }
 
 

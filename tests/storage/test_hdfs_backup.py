@@ -85,6 +85,9 @@ class TestBackupEngine:
         engine = BackupEngine(hdfs)
         store = self.make_store()
         assert engine.create_backup(store) is None
+        with pytest.raises(StoreUnavailable):  # the listing is a remote call
+            engine.latest_backup("app")
+        clock.advance(100.0)
         assert engine.latest_backup("app") is None
 
     def test_recovery_uses_older_snapshot_after_outage(self, clock, hdfs):
@@ -174,3 +177,144 @@ class TestBackupEngineFailurePaths:
         # Every StoreUnavailable the store raised is accounted for by the
         # retry layer: nothing was silently dropped.
         assert registry.counter("hdfs.unavailable_errors").value == 0  # separate registry
+
+
+class TestIncrementalSnapshots:
+    """Runs are shared by reference: a backup ships only the new ones."""
+
+    def make_store(self):
+        return LsmStore(disk={}, name="app",
+                        merge_operator=CounterMergeOperator(),
+                        compaction_trigger=100)
+
+    def test_second_backup_uploads_only_the_new_run(self, hdfs):
+        registry = MetricsRegistry()
+        engine = BackupEngine(hdfs, metrics=registry)
+        store = self.make_store()
+        store.put("a", 1)
+        first = engine.create_backup(store)
+        assert (first.runs_uploaded, first.runs_reused) == (1, 0)
+        store.put("b", 2)
+        second = engine.create_backup(store)
+        assert (second.runs_uploaded, second.runs_reused) == (1, 1)
+        assert second.entry_count == 2
+        idle = engine.create_backup(store)  # nothing new since `second`
+        assert (idle.runs_uploaded, idle.runs_reused) == (0, 2)
+        assert registry.counter("backup.runs.uploaded").value == 2
+        assert registry.counter("backup.runs.reused").value == 3
+
+    def test_skipped_backup_counts_no_runs_and_keeps_the_previous_one(
+            self, clock, hdfs):
+        registry = MetricsRegistry()
+        engine = BackupEngine(hdfs, metrics=registry)
+        store = self.make_store()
+        store.put("a", 1)
+        engine.create_backup(store)
+        hdfs.add_outage(clock.now(), clock.now() + 10.0)
+        store.put("a", 2)
+        assert engine.create_backup(store) is None
+        assert registry.counter("backup.runs.uploaded").value == 1
+        clock.advance(20.0)
+        assert [info.backup_id for info in engine.backups("app")] == [0]
+        assert engine.restore(
+            "app", {}, merge_operator=CounterMergeOperator()).get("a") == 1
+
+    def test_restored_store_and_source_diverge_independently(self, hdfs):
+        engine = BackupEngine(hdfs)
+        store = self.make_store()
+        store.put("a", 1)
+        store.merge("n", 5)
+        engine.create_backup(store)
+        restored = engine.restore("app", {},
+                                  merge_operator=CounterMergeOperator())
+        restored.merge("n", 1)
+        restored.delete("a")
+        restored.compact()
+        store.merge("n", 100)
+        store.compact()
+        again = engine.restore("app", {},
+                               merge_operator=CounterMergeOperator())
+        assert (again.get("a"), again.get("n")) == (1, 5)
+        assert (restored.get("a"), restored.get("n")) == (None, 6)
+        assert (store.get("a"), store.get("n")) == (1, 105)
+
+    def test_restored_wal_continues_at_the_snapshot_sequence(self, hdfs):
+        engine = BackupEngine(hdfs)
+        store = self.make_store()
+        store.put("a", 1)
+        store.put("b", 2)
+        engine.create_backup(store)
+        restored = engine.restore("app", {},
+                                  merge_operator=CounterMergeOperator())
+        restored.put("c", 3)  # logged at a sequence >= flushed_seq
+        restored.drop_memory()
+        assert restored.recover() == 1
+        assert restored.get("c") == 3
+
+    def test_backup_of_a_crashed_unrecovered_store_keeps_its_wal_tail(
+            self, hdfs):
+        engine = BackupEngine(hdfs)
+        store = self.make_store()
+        store.put("a", 1)
+        store.drop_memory()  # acknowledged write now lives only in the WAL
+        engine.create_backup(store)
+        assert engine.restore("app", {}).get("a") == 1
+
+
+class TestEngineRestart:
+    """Ids and history come from HDFS, not from the engine's memory."""
+
+    def make_store(self):
+        store = LsmStore(disk={}, name="app",
+                         merge_operator=CounterMergeOperator())
+        store.put("a", 1)
+        return store
+
+    def test_new_engine_sees_restores_and_never_overwrites(self, hdfs):
+        store = self.make_store()
+        old = BackupEngine(hdfs)
+        old.create_backup(store)          # id 0: a=1
+        store.put("a", 2)
+        old.create_backup(store)          # id 1: a=2
+        oldest = hdfs.get("backups/app/00000000")
+
+        new = BackupEngine(hdfs)          # e.g. the process restarted
+        assert new.latest_backup("app").backup_id == 1
+        assert [info.backup_id for info in new.backups("app")] == [0, 1]
+        assert new.restore(
+            "app", {}, merge_operator=CounterMergeOperator()).get("a") == 2
+        store.put("a", 3)
+        info = new.create_backup(store)
+        assert info.backup_id == 2
+        assert (info.runs_uploaded, info.runs_reused) == (1, 2)
+        assert hdfs.get("backups/app/00000000") is oldest
+        assert new.restore("app", {}, backup_id=0).get("a") == 1
+        assert hdfs.list("backups/app/") == [
+            f"backups/app/{n:08d}" for n in range(3)]
+
+    def test_numbering_is_per_store(self, hdfs):
+        engine = BackupEngine(hdfs)
+        engine.create_backup(self.make_store())
+        other = LsmStore(disk={}, name="app2")
+        other.put("z", 9)
+        assert BackupEngine(hdfs).create_backup(other).backup_id == 0
+        assert BackupEngine(hdfs).latest_backup("app").backup_id == 0
+
+    def test_outage_during_the_listing_is_retried_and_counted(self, clock,
+                                                              hdfs):
+        BackupEngine(hdfs).create_backup(self.make_store())
+        registry = MetricsRegistry()
+        new = BackupEngine(
+            hdfs, retry=RetryPolicy(max_attempts=5, base_delay=1.0,
+                                    multiplier=2.0, jitter=0.0),
+            metrics=registry)
+        hdfs.add_outage(clock.now(), clock.now() + 2.5)
+        assert new.latest_backup("app").backup_id == 0  # heals in backoff
+        assert registry.counter("backup.retry.recoveries").value == 1
+        hdfs.add_outage(clock.now(), clock.now() + 1000.0)
+        assert new.create_backup(self.make_store()) is None
+        assert registry.counter("backup.retry.give_ups").value == 1
+        assert registry.counter("backup.snapshot.skipped").value == 1
+        with pytest.raises(StoreUnavailable):
+            new.restore("app", {})
+        assert registry.counter("backup.retry.give_ups").value == 2

@@ -1,12 +1,17 @@
-"""Tests for the merge operators (associativity is the contract)."""
+"""Tests for the merge operators (associative and pure is the contract)."""
+
+import copy
+import inspect
 
 import pytest
 
+from repro.storage import merge as merge_module
 from repro.storage.merge import (
     CounterMergeOperator,
     DictSumMergeOperator,
     ListAppendMergeOperator,
     MaxMergeOperator,
+    MergeOperator,
     MinMergeOperator,
     SetUnionMergeOperator,
 )
@@ -53,8 +58,34 @@ class TestFullMerge:
         operator = DictSumMergeOperator()
         assert operator.partial_merge([{"a": 1}, {"a": 4}]) == {"a": 5}
 
-    def test_dict_sum_does_not_mutate_inputs(self):
-        operator = DictSumMergeOperator()
-        left = {"a": 1}
-        operator.merge(left, {"a": 2})
-        assert left == {"a": 1}
+
+class TestOperatorsArePure:
+    """Stores, snapshots and restored stores share values by reference
+    (:mod:`repro.storage.backup`), so an operator that mutated an
+    argument would corrupt all of them at once."""
+
+    def test_every_shipped_operator_is_covered(self):
+        shipped = {cls for _, cls in inspect.getmembers(merge_module,
+                                                        inspect.isclass)
+                   if issubclass(cls, MergeOperator)
+                   and not inspect.isabstract(cls)}
+        assert shipped == {type(operator) for operator, _ in ALL_OPERATORS}
+
+    @pytest.mark.parametrize("operator,operands", ALL_OPERATORS,
+                             ids=lambda x: type(x).__name__
+                             if hasattr(x, "merge") else "")
+    def test_merge_and_full_merge_leave_their_arguments_unchanged(
+            self, operator, operands):
+        pristine = copy.deepcopy(operands)
+        a, b, c = operands
+        merged = operator.merge(a, b)
+        assert operands == pristine
+        folded = operator.full_merge(a, [b, c])
+        assert operands == pristine
+        assert operator.partial_merge(operands) == folded
+        assert operands == pristine
+        # The results are new values: changing them reaches no input.
+        for result in (merged, folded):
+            if isinstance(result, (dict, list, set)):
+                result.clear()
+        assert operands == pristine
