@@ -30,18 +30,20 @@ Because in-memory state is a delta, recovery loads only offsets (the
 durable base stays in HBase until queried or merged), a checkpoint
 writes only the cells that actually changed, and attached Laser views
 (:meth:`attach_laser_view`) are refreshed incrementally from exactly
-those flushed cells.
+those flushed cells. A query merges one window's HBase row range (never
+cached: sibling instances share the namespace) with only that window's
+dirty deltas, and :meth:`query_top_k` ranks them with a heap.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 from bisect import insort
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, Iterator
 
 from repro import serde
 from repro.core.semantics import StateSemantics
-from repro.core.windows import TumblingWindow, aligned_start
 from repro.errors import ConfigError, PlanningError, ProcessCrashed
 from repro.serde import SerdeError
 from repro.puma.compiler import (
@@ -59,6 +61,7 @@ from repro.scribe.writer import ScribeWriter
 from repro.storage.hbase import HBaseTable
 
 Row = dict[str, Any]
+Cell = tuple[str, dict[str, Any]]  # (HBase row key, state)
 
 _EXECUTORS = ("compiled", "batch", "row")
 
@@ -168,15 +171,13 @@ class PumaApp:  # lint: effect[output=at_least_once]
         # HBase and the two meet only at flush (merge) or query (merge).
         self._state: dict[tuple[str, float, tuple], dict[str, Any]] = {}
         self._dirty: set[tuple[str, float, tuple]] = set()
-        # Incremental eviction index: per-table sorted window starts
-        # plus the member cells of each (table, window) — so eviction
-        # never re-derives (or re-sorts) anything from the full keyset.
+        # Per-table sorted window starts plus each (table, window)'s
+        # cells mapped to their HBase row keys (built once per cell) —
+        # so eviction, flushes and window queries never re-derive
+        # anything from the full keyset.
         self._window_starts: dict[str, list[float]] = {}
         self._window_cells: dict[tuple[str, float],
-                                 set[tuple[str, float, tuple]]] = {}
-        # Per-table tumbling-window handles, so assigning a row to its
-        # window does not allocate a TumblingWindow per row.
-        self._windows: dict[str, TumblingWindow] = {}
+                                 dict[tuple[str, float, tuple], str]] = {}
         self._events_since_checkpoint = 0
         # (bucket, position) for the message batch currently being
         # processed: ``read_batch`` advances the reader past the whole
@@ -276,7 +277,8 @@ class PumaApp:  # lint: effect[output=at_least_once]
         flushed: dict[str, list[tuple[float, tuple, dict[str, Any]]]] = {}
         for state_key in sorted(self._dirty):
             table_name, window_start, group_key = state_key
-            merged = self._merge_into_hbase(state_key)
+            merged = self._merge_into_hbase(
+                state_key, self._window_cells[state_key[:2]][state_key])
             self._state[state_key] = self._identity_state(table_name)
             if table_name in self._views:
                 flushed.setdefault(table_name, []).append(
@@ -286,25 +288,14 @@ class PumaApp:  # lint: effect[output=at_least_once]
         for table_name, cells in flushed.items():
             self._refresh_views(table_name, cells)
 
-    def _merge_into_hbase(self, state_key: tuple[str, float, tuple]
-                          ) -> dict[str, Any]:
+    def _merge_into_hbase(self, state_key: tuple[str, float, tuple],
+                          row_key: str) -> dict[str, Any]:
         """Write one cell's delta merged onto its saved base; returns
         the merged (total) state."""
-        table_name, window_start, group_key = state_key
         delta = self._state[state_key]
-        row_key = self._state_row(table_name, window_start, group_key)
         saved = self.hbase.get(row_key)
-        if saved is None:
-            merged = dict(delta)
-        else:
-            merged = {}
-            for aggregate in self._compiled_tables[table_name].aggregates:
-                alias = aggregate.alias
-                if alias in saved:
-                    merged[alias] = aggregate.merge(saved[alias],
-                                                    delta[alias])
-                else:
-                    merged[alias] = delta[alias]
+        merged = (dict(delta) if saved is None else
+                  _merged(self._compiled_tables[state_key[0]], saved, delta))
         self.hbase.put(row_key, merged)
         return merged
 
@@ -514,8 +505,10 @@ class PumaApp:  # lint: effect[output=at_least_once]
         event_time = row.get(self._time_column)
         if event_time is None:
             return  # rows without an event time cannot be windowed
-        window_start = self._window_start(table, float(event_time))
         table_name = table.name
+        window_start = (GLOBAL_WINDOW if table.window_seconds is None else
+                        self._compiled_tables[table_name].aligned(
+                            float(event_time), table.window_seconds))
         state_key = (table_name, window_start, table.group_key(row))
         group_state = self._state.get(state_key)
         if group_state is None:
@@ -541,13 +534,14 @@ class PumaApp:  # lint: effect[output=at_least_once]
         window_seconds = table.window_seconds
         group_key_of = table.group_key
         table_name = table.name
+        aligned = self._compiled_tables[table_name].aligned
         groups: dict[tuple[float, tuple], list[Row]] = {}
         for row in rows:
             event_time = row.get(time_column)
             if event_time is None:
                 continue  # rows without an event time cannot be windowed
             cell = (GLOBAL_WINDOW if window_seconds is None
-                    else aligned_start(float(event_time), window_seconds),
+                    else aligned(float(event_time), window_seconds),
                     group_key_of(row))
             bucket = groups.get(cell)
             if bucket is None:
@@ -607,14 +601,14 @@ class PumaApp:  # lint: effect[output=at_least_once]
 
     def _register_window(self, table_name: str, window_start: float,
                          state_key: tuple[str, float, tuple]) -> None:
-        """Index a cell under its window (incremental eviction order)."""
+        """Index a cell and its row key under its window."""
         cells = self._window_cells.get((table_name, window_start))
         if cells is None:
-            self._window_cells[(table_name, window_start)] = {state_key}
+            cells = self._window_cells[(table_name, window_start)] = {}
             insort(self._window_starts.setdefault(table_name, []),
                    window_start)
-        else:
-            cells.add(state_key)
+        cells[state_key] = self._state_row(table_name, window_start,
+                                           state_key[2])
 
     def _evict_old_windows(self, table_name: str) -> None:
         """Flush and drop in-memory windows beyond the retention count.
@@ -636,7 +630,8 @@ class PumaApp:  # lint: effect[output=at_least_once]
             for state_key in sorted(cells):
                 if state_key in dirty:
                     # Durable first, then drop: eviction never loses data.
-                    merged = self._merge_into_hbase(state_key)
+                    merged = self._merge_into_hbase(state_key,
+                                                    cells[state_key])
                     dirty.discard(state_key)
                     self._flushes_counter.increment()
                     if table_name in self._views:
@@ -645,15 +640,6 @@ class PumaApp:  # lint: effect[output=at_least_once]
             self._evicted_counter.increment()
             if flushed:
                 self._refresh_views(table_name, flushed)
-
-    def _window_start(self, table: TablePlan, event_time: float) -> float:
-        if table.window_seconds is None:
-            return GLOBAL_WINDOW
-        window = self._windows.get(table.name)
-        if window is None:
-            window = self._windows[table.name] = TumblingWindow(
-                table.window_seconds)
-        return window.window_containing(event_time).start
 
     # -- Laser-facing incremental views (Section 2.5 use case one) ---------------
 
@@ -668,11 +654,7 @@ class PumaApp:  # lint: effect[output=at_least_once]
         query. It therefore converges to the *durable* (checkpointed)
         state, exactly what a serving tier fed from checkpoints sees.
         """
-        table = self.plan.table(table_name)
-        if table.kind != "aggregation":
-            raise PlanningError(
-                f"table {table_name!r} is not an aggregation")
-        ctable = self._compiled_tables[table_name]
+        ctable = self._aggregation(table_name)
         produced = set(ctable.group_columns) | {"window_start"}
         produced.update(aggregate.alias for aggregate in ctable.aggregates)
         missing = [column for column in laser_table.key_columns
@@ -689,17 +671,7 @@ class PumaApp:  # lint: effect[output=at_least_once]
                        cells: list[tuple[float, tuple, dict[str, Any]]]
                        ) -> None:
         ctable = self._compiled_tables[table_name]
-        group_columns = ctable.group_columns
-        aggregates = ctable.aggregates
-        rows: list[Row] = []
-        for window_start, group_key, merged in cells:
-            row: Row = {"window_start": window_start}
-            for column, value in zip(group_columns, group_key):
-                row[column] = value
-            for aggregate in aggregates:
-                row[aggregate.alias] = aggregate.result(
-                    merged[aggregate.alias])
-            rows.append(row)
+        rows = [_finalized(ctable, *cell) for cell in cells]
         for laser_table in self._views[table_name]:
             laser_table.put_rows(rows)
         self._view_updates_counter.increment(len(rows))
@@ -711,69 +683,89 @@ class PumaApp:  # lint: effect[output=at_least_once]
         """Pre-computed results for one table (optionally one window).
 
         Each row carries the group columns, the finalized aggregate
-        values, and ``window_start``.
+        values, and ``window_start``, in window then group-key order.
         """
-        table = self.plan.table(table_name)
-        if table.kind != "aggregation":
-            raise PlanningError(f"table {table_name!r} is not an aggregation")
-        ctable = self._compiled_tables[table_name]
-        aggregates = ctable.aggregates
-        cells: dict[tuple[float, tuple], dict[str, Any]] = {}
-        # The durable base: checkpointed and evicted cells ...
-        prefix = f"{self.name}|{table_name}|"
-        for row_key, columns in self.hbase.scan(prefix, prefix + "￿"):
-            _, _, window_text, key_json = row_key.split("|", 3)
-            cells[(float(window_text), tuple(json.loads(key_json)))] = columns
-        # ... and the in-memory deltas monoid-merge on top of it.
-        for (name, start, group_key), delta in self._state.items():
-            if name != table_name:
-                continue
-            saved = cells.get((start, group_key))
-            if saved is None:
-                cells[(start, group_key)] = delta
-            else:
-                cells[(start, group_key)] = {
-                    aggregate.alias: (
-                        aggregate.merge(saved[aggregate.alias],
-                                        delta[aggregate.alias])
-                        if aggregate.alias in saved
-                        else delta[aggregate.alias])
-                    for aggregate in aggregates
-                }
-        rows: list[Row] = []
-        for (start, group_key), state in cells.items():
-            if window_start is not None and start != window_start:
-                continue
-            row: Row = {"window_start": start}
-            for column, value in zip(ctable.group_columns, group_key):
-                row[column] = value
-            for aggregate in aggregates:
-                row[aggregate.alias] = aggregate.result(state[aggregate.alias])
-            rows.append(row)
-        rows.sort(key=lambda r: (r["window_start"],
-                                 json.dumps([r[c]
-                                             for c in ctable.group_columns])))
-        return rows
+        ctable = self._aggregation(table_name)
+        return [self._result_row(ctable, *cell)
+                for cell in self._cells(ctable, window_start)]
 
     def query_top_k(self, table_name: str, metric: str, k: int,
                     window_start: float | None = None) -> list[Row]:
-        """The K groups with the largest ``metric`` (dashboard helper)."""
-        rows = self.query(table_name, window_start)
+        """The K groups with the largest ``metric`` (dashboard helper).
 
-        def sort_value(row: Row) -> float:
-            value = row.get(metric)
-            if isinstance(value, list):  # topk() results sort by their head
-                return value[0] if value else float("-inf")
-            return value if value is not None else float("-inf")
+        ``metric``: an aggregate alias (a ``topk()`` list ranks by its
+        head, None last) or a group column. Ties keep query order.
+        """
+        ctable = self._aggregation(table_name)
+        result = next((aggregate.result for aggregate in ctable.aggregates
+                       if aggregate.alias == metric), None)
+        if result is None and metric not in ctable.group_columns:
+            raise PlanningError(
+                f"table {table_name!r} has no column {metric!r}")
+        ranked = heapq.nlargest(
+            k, self._cells(ctable, window_start), key=lambda cell: _rank(
+                result(cell[1][metric]) if result is not None
+                else self._result_row(ctable, *cell)[metric]))
+        return [self._result_row(ctable, *cell) for cell in ranked]
 
-        rows.sort(key=sort_value, reverse=True)
-        return rows[:k]
+    def _aggregation(self, table_name: str) -> CompiledTable:
+        if self.plan.table(table_name).kind != "aggregation":
+            raise PlanningError(f"table {table_name!r} is not an aggregation")
+        return self._compiled_tables[table_name]
+
+    def _cells(self, ctable: CompiledTable,
+               window_start: float | None) -> Iterable[Cell]:
+        """A table's or one window's cells in query order: one HBase range
+        scan (in a window, row-key order is query order) streamed with
+        only those windows' dirty deltas merged in (clean = identity)."""
+        prefix = f"{self.name}|{ctable.name}|"
+        if window_start is None:
+            starts = self._window_starts.get(ctable.name, [])
+        else:
+            window_start = float(f"{window_start:.6f}")
+            starts = [window_start]
+            prefix += f"{window_start:020.6f}|"
+        dirty: list[tuple[str, tuple]] = []  # (row key, state key)
+        for start in starts:
+            window = self._window_cells.get((ctable.name, start), {})
+            dirty += sorted((window[key], key)
+                            for key in window.keys() & self._dirty)
+        cells = self._merge_in(ctable, self.hbase.scan(prefix, prefix + "￿"),
+                               sorted(dirty))
+        if window_start is None:  # numeric window order, stable inside
+            plen = len(prefix)
+            return sorted(cells, key=lambda cell: float(
+                cell[0][plen:cell[0].index("|", plen)]))
+        return cells
+
+    def _merge_in(self, ctable: CompiledTable, base: Iterable[Cell],
+                  dirty: list[tuple[str, tuple]]) -> Iterator[Cell]:
+        """Merge or slot key-ordered ``dirty`` cells into ``base``; no row
+        stays alive past its consumer, so top-k keeps just k rows."""
+        index = 0
+        for row_key, saved in base:
+            while index < len(dirty) and dirty[index][0] <= row_key:
+                dirty_key, state_key = dirty[index]
+                index += 1
+                if dirty_key < row_key:
+                    yield dirty_key, self._state[state_key]
+                else:
+                    saved = _merged(ctable, saved, self._state[state_key])
+            yield row_key, saved
+        for dirty_key, state_key in dirty[index:]:
+            yield dirty_key, self._state[state_key]
+
+    def _result_row(self, ctable: CompiledTable, row_key: str,
+                    state: dict[str, Any]) -> Row:
+        """Finalize a cell; window and group columns come from its key."""
+        plen = len(self.name) + len(ctable.name) + 2
+        cut = row_key.index("|", plen)
+        return _finalized(ctable, float(row_key[plen:cut]),
+                          json.loads(row_key[cut + 1:]), state)
 
     def windows(self, table_name: str) -> list[float]:
         """All window start times with any data (in memory or HBase)."""
-        starts = {
-            start for (name, start, _) in self._state if name == table_name
-        }
+        starts = set(self._window_starts.get(table_name, []))
         prefix = f"{self.name}|{table_name}|"
         for row_key, _ in self.hbase.scan(prefix, prefix + "￿"):
             starts.add(float(row_key.split("|", 3)[2]))
@@ -864,6 +856,34 @@ class PumaApp:  # lint: effect[output=at_least_once]
                 f"app {self.name!r} does not own bucket {bucket}"
             )
         return self._readers[bucket].position
+
+
+def _merged(ctable: CompiledTable, saved: dict[str, Any],
+            delta: dict[str, Any]) -> dict[str, Any]:
+    """A cell's delta monoid-merged onto its durable base."""
+    return {
+        aggregate.alias: (
+            aggregate.merge(saved[aggregate.alias], delta[aggregate.alias])
+            if aggregate.alias in saved else delta[aggregate.alias])
+        for aggregate in ctable.aggregates
+    }
+
+
+def _finalized(ctable: CompiledTable, window_start: float, group_key: Any,
+               state: dict[str, Any]) -> Row:
+    """A result row: window, group columns, finalized aggregates."""
+    row: Row = {"window_start": window_start}
+    row.update(zip(ctable.group_columns, group_key))
+    for aggregate in ctable.aggregates:
+        row[aggregate.alias] = aggregate.result(state[aggregate.alias])
+    return row
+
+
+def _rank(value: Any) -> Any:
+    """A top-k sort value: a ``topk()`` list by its head, None last."""
+    if isinstance(value, list):
+        value = value[0] if value else None
+    return float("-inf") if value is None else value
 
 
 def combine_partial_states(table: TablePlan,

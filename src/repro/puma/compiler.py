@@ -177,7 +177,7 @@ class CompiledTable:
     pipeline over a chunk in one specialized pass.
     """
 
-    __slots__ = ("name", "kind", "predicate", "window_seconds",
+    __slots__ = ("name", "kind", "predicate", "window_seconds", "aligned",
                  "group_columns", "group_key", "single_group_column",
                  "aggregates", "arg_evaluators", "arg_columns",
                  "projections", "key_alias", "time_column")
@@ -187,6 +187,12 @@ class CompiledTable:
         self.kind = table.kind
         self.predicate = table.predicate
         self.window_seconds = table.window_seconds
+        #: Window assignment for every executor; fractional sizes round to
+        #: the row key's ``%020.6f``: one float per start, memory and HBase.
+        self.aligned = (
+            aligned_start if table.window_seconds is None
+            or float(table.window_seconds).is_integer()
+            else lambda t, step: float(f"{aligned_start(t, step):.6f}"))
         self.group_columns = tuple(column for column, _ in table.group_keys)
         self.group_key = _compile_group_key(table.group_keys,
                                             table.group_key_exprs)
@@ -227,7 +233,7 @@ class CompiledTable:
         window_seconds = self.window_seconds
         group_key = self.group_key
         single_column = self.single_group_column
-        aligned = aligned_start
+        aligned = self.aligned
         groups: dict[tuple[float, tuple], list[Row]] = {}
         if single_column is not None:
             for row in rows:

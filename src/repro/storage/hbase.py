@@ -26,8 +26,10 @@ class HBaseTable:
     def __init__(self, name: str) -> None:
         self.name = name
         self._rows: dict[str, dict[str, Any]] = {}
+        # Row keys in order as of the last scan, plus keys created since;
+        # replaced, never edited in place, so running scans stay valid.
         self._sorted_keys: list[str] = []
-        self._sorted_dirty = False
+        self._added_keys: list[str] = []
 
     # -- writes --------------------------------------------------------------
 
@@ -38,14 +40,14 @@ class HBaseTable:
         row = self._rows.get(row_key)
         if row is None:
             self._rows[row_key] = dict(columns)
-            self._sorted_dirty = True
+            self._added_keys.append(row_key)
         else:
             row.update(columns)
 
     def increment(self, row_key: str, column: str, amount: float = 1) -> float:
         """Atomic counter increment; returns the new value."""
         if row_key not in self._rows:
-            self._sorted_dirty = True
+            self._added_keys.append(row_key)
         row = self._rows.setdefault(row_key, {})
         row[column] = row.get(column, 0) + amount
         return row[column]
@@ -61,7 +63,8 @@ class HBaseTable:
 
     def delete_row(self, row_key: str) -> None:
         if self._rows.pop(row_key, None) is not None:
-            self._sorted_dirty = True
+            self._sorted_keys = [key for key in self._sorted()
+                                 if key != row_key]
 
     # -- reads ---------------------------------------------------------------
 
@@ -94,7 +97,7 @@ class HBaseTable:
         return len(self._rows)
 
     def _sorted(self) -> list[str]:
-        if self._sorted_dirty or len(self._sorted_keys) != len(self._rows):
-            self._sorted_keys = sorted(self._rows)
-            self._sorted_dirty = False
+        if self._added_keys:  # timsort merges them into the sorted run
+            self._sorted_keys = sorted(self._sorted_keys + self._added_keys)
+            self._added_keys = []
         return self._sorted_keys

@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.errors import PlanningError
 from repro.puma.app import PumaApp, combine_partial_states
 from repro.puma.parser import parse
 from repro.puma.planner import plan
+from repro.runtime.clock import SimClock
 from repro.scribe.reader import CategoryReader
+from repro.scribe.store import ScribeStore
 from repro.storage.hbase import HBaseTable
 
 AGG_SOURCE = """
@@ -78,11 +81,49 @@ class TestAggregation:
         top = app.query_top_k("clicks_1min", "n", 1, window_start=0.0)
         assert top[0]["page"] == "home"
 
+    def test_query_top_k_by_group_column(self, wired):
+        app = make_app(wired)
+        write_clicks(wired, 30, pages=("home", "about", "shop"))
+        app.pump()
+        top = app.query_top_k("clicks_1min", "page", 2, window_start=0.0)
+        assert [row["page"] for row in top] == ["shop", "home"]
+        assert top[0]["n"] == 10
+
+    def test_query_top_k_unknown_metric_rejected(self, wired):
+        app = make_app(wired)
+        write_clicks(wired, 10)
+        app.pump()
+        with pytest.raises(PlanningError, match="no column 'clicks'"):
+            app.query_top_k("clicks_1min", "clicks", 3)
+
     def test_query_non_aggregation_table_rejected(self, wired):
         app = make_app(wired, FILTER_SOURCE)
-        from repro.errors import PlanningError
         with pytest.raises(PlanningError):
             app.query("home_clicks")
+        with pytest.raises(PlanningError):
+            app.query_top_k("home_clicks", "user", 3)
+
+    def test_fractional_window_is_one_cell(self, wired):
+        """A ``[0.1 seconds]`` window starting at ``aligned_start(0.35,
+        0.1) == 0.30000000000000004`` stays one cell across a checkpoint:
+        in memory and in HBase it has the start its row key spells."""
+        source = AGG_SOURCE.replace("[1 minute]", "[0.1 seconds]")
+        for executor in ("compiled", "batch", "row"):
+            scribe = ScribeStore(clock=SimClock())
+            scribe.create_category("clicks", 1)
+            app = make_app(scribe, source, executor=executor)
+            for i in range(5):
+                scribe.write_record("clicks", {"event_time": 0.35,
+                                               "page": "home", "user": "u"})
+                app.pump()
+                if i == 3:
+                    app.checkpoint()
+            assert app.windows("clicks_1min") == [0.3]
+            [row] = app.query("clicks_1min")
+            assert (row["window_start"], row["n"]) == (0.3, 5)
+            for start in (0.3, 0.30000000000000004):
+                assert app.query("clicks_1min", start) == [row]
+                assert app.query_top_k("clicks_1min", "n", 1, start) == [row]
 
     def test_rows_without_event_time_are_skipped(self, wired):
         app = make_app(wired)

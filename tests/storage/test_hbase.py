@@ -1,6 +1,7 @@
 """Tests for the HBase-style table store."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import StorageError
 from repro.storage.hbase import HBaseTable
@@ -78,3 +79,59 @@ class TestScan:
         table.increment("r1", "c")
         table.put("r0", {"c": 0})
         assert [k for k, _ in table.scan()] == ["r0", "r1"]
+
+    def test_running_scan_keeps_its_snapshot(self, table):
+        table.put("a", {"x": 1})
+        table.put("c", {"x": 1})
+        running = table.scan()
+        assert next(running)[0] == "a"
+        table.put("b", {"x": 1})
+        assert [k for k, _ in table.scan()] == ["a", "b", "c"]
+        assert [k for k, _ in running] == ["c"]
+
+
+KEYS = st.sampled_from([f"k{i:02d}" for i in range(12)])
+BOUNDS = st.one_of(st.none(), KEYS)
+
+OPERATIONS = st.lists(st.one_of(
+    st.tuples(st.just("put"), KEYS, st.integers(0, 9)),
+    st.tuples(st.just("increment"), KEYS, st.integers(1, 3)),
+    st.tuples(st.just("delete"), KEYS, st.just(0)),
+    st.tuples(st.just("check_and_put"), KEYS, st.integers(0, 9)),
+    st.tuples(st.just("scan"), st.tuples(BOUNDS, BOUNDS),
+              st.one_of(st.none(), st.integers(0, 5))),
+), max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(operations=OPERATIONS)
+def test_sorted_index_matches_sorted_dict_model(operations):
+    """The incrementally kept key order answers every scan exactly like
+    sorting a plain dict model, whatever the write/delete history."""
+    table = HBaseTable("t")
+    model: dict[str, dict] = {}
+    for op, key, arg in operations:
+        if op == "put":
+            table.put(key, {"v": arg})
+            model.setdefault(key, {})["v"] = arg
+        elif op == "increment":
+            row = model.setdefault(key, {})
+            row["n"] = row.get("n", 0) + arg
+            assert table.increment(key, "n", arg) == row["n"]
+        elif op == "delete":
+            table.delete_row(key)
+            model.pop(key, None)
+        elif op == "check_and_put":
+            applied = model.get(key, {}).get("v") == arg
+            assert table.check_and_put(key, "v", arg, {"v": arg + 1}) \
+                == applied
+            if applied:
+                model.setdefault(key, {})["v"] = arg + 1
+        else:
+            (start, end), limit = key, arg
+            expected = [(k, model[k]) for k in sorted(model)
+                        if (start is None or k >= start)
+                        and (end is None or k < end)][:limit]
+            assert list(table.scan(start, end, limit)) == expected
+        assert table.row_count() == len(model)
+    assert list(table.scan()) == sorted(model.items())
