@@ -278,7 +278,7 @@ def _speedup_result(name: str, single_wall: float, batch_wall: float,
 
 
 def bench_puma_pump(n: int) -> BenchResult:
-    """Puma end-to-end: batched decode+vectorized tables vs per-message."""
+    """Puma end-to-end: batched decode + compiled table programs."""
     scribe = ScribeStore(clock=SimClock())
     scribe.create_category("puma_in", num_buckets=1)
     writer = ScribeWriter(scribe, "puma_in")
@@ -286,22 +286,18 @@ def bench_puma_pump(n: int) -> BenchResult:
         writer.write_to_bucket(_puma_record(i), 0)
     app_plan = plan(parse(_PUMA_BENCH_SOURCE))
 
-    def run(batched: bool):
-        def go() -> int:
-            app = PumaApp(app_plan, scribe, HBaseTable("bench-state"),
-                          checkpoint_every_events=1000, clock=scribe.clock,
-                          batched=batched)
-            done = 0
-            while True:
-                pumped = app.pump(10_000)
-                if pumped == 0:
-                    return done
-                done += pumped
-        return timed(go)
+    def go() -> int:
+        app = PumaApp(app_plan, scribe, HBaseTable("bench-state"),
+                      checkpoint_every_events=1000, clock=scribe.clock)
+        done = 0
+        while True:
+            pumped = app.pump(10_000)
+            if pumped == 0:
+                return done
+            done += pumped
 
-    single_wall, _ = run(False)
-    batch_wall, ops = run(True)
-    return _speedup_result("puma_pump", single_wall, batch_wall, ops)
+    wall, ops = timed(go)
+    return BenchResult("puma_pump", wall, ops)
 
 
 _PUMA_COMPILED_SOURCE = """
@@ -321,13 +317,13 @@ def _timing_record(i: int) -> dict:
 
 
 def bench_puma_compiled(n: int) -> BenchResult:
-    """Plan execution only: compiled ExecutablePlan vs the interpreters.
+    """Plan execution only: the compiled ExecutablePlan over a chunk.
 
-    Feeds pre-decoded rows straight into each executor's processing
-    path, so serde (measured by ``serde_batch``/``puma_pump``) does not
-    dilute the ratio — this is the per-row cost of the aggregation
-    program itself. All three apps compile through one shared PlanCache;
-    the hit/miss counters land in the report.
+    Feeds pre-decoded rows straight into the app's processing path, so
+    serde (measured by ``serde_batch``/``puma_pump``) does not dilute
+    the number — this is the per-row cost of the aggregation program
+    itself. Every repeat compiles through one shared PlanCache; the
+    hit/miss counters land in the report.
     """
     rows = [_timing_record(i) for i in range(n)]
     scribe = ScribeStore(clock=SimClock())
@@ -335,35 +331,20 @@ def bench_puma_compiled(n: int) -> BenchResult:
     app_plan = plan(parse(_PUMA_COMPILED_SOURCE))
     cache = PlanCache()
 
-    def run(executor: str):
-        def go() -> int:
-            app = PumaApp(app_plan, scribe, HBaseTable("bench-compiled"),
-                          checkpoint_every_events=1 << 30,
-                          clock=scribe.clock, executor=executor,
-                          plan_cache=cache)
-            if executor == "row":
-                for row in rows:
-                    app._process_row(row)
-            else:
-                app._process_rows(rows)
-            return n
-        return timed(go)
+    def go() -> int:
+        app = PumaApp(app_plan, scribe, HBaseTable("bench-compiled"),
+                      checkpoint_every_events=1 << 30,
+                      clock=scribe.clock, plan_cache=cache)
+        app._process_rows(rows)
+        return n
 
-    row_wall, _ = run("row")
-    interpreted_wall, _ = run("batch")
-    compiled_wall, ops = run("compiled")
+    compiled_wall, ops = timed(go)
     stats = cache.stats()
     requests = stats["hits"] + stats["misses"]
     return BenchResult(
         "puma_compiled", compiled_wall, ops,
         metrics={
-            "row_us_per_op": row_wall / max(1, ops) * 1e6,
-            "interpreted_us_per_op": interpreted_wall / max(1, ops) * 1e6,
             "compiled_us_per_op": compiled_wall / max(1, ops) * 1e6,
-            "compiled_speedup": (interpreted_wall / compiled_wall
-                                 if compiled_wall else 0.0),
-            "compiled_vs_row_speedup": (row_wall / compiled_wall
-                                        if compiled_wall else 0.0),
         },
         counters={
             "plan_cache_hits": stats["hits"],
@@ -498,12 +479,11 @@ def bench_swift_pump(n: int, passes: int = 4) -> BenchResult:
 
 
 def bench_scuba_ingest(n: int) -> BenchResult:
-    """Scuba ingest: decode_batch + add_rows vs per-message decode + add.
+    """Scuba ingest: one decode_batch + one add_rows per Scribe batch.
 
-    Runs on a row-tail table (``columnar=False``) so the ratio isolates
-    the decode/store batching win: segment sealing is identical
-    deterministic work on both arms (~2us/row amortized) and is paid —
-    and recouped — in ``bench_scuba_query``/``bench_dashboard_refresh``.
+    Runs on a row-tail table (``columnar=False``) so the number isolates
+    decode and store: segment sealing is measured in
+    ``bench_scuba_query``/``bench_dashboard_refresh``.
     """
     scribe = ScribeStore(clock=SimClock())
     scribe.create_category("scuba_in", num_buckets=1)
@@ -511,23 +491,19 @@ def bench_scuba_ingest(n: int) -> BenchResult:
     for i in range(n):
         writer.write_to_bucket(_record(i), 0)
 
-    def run(batched: bool):
-        def go() -> int:
-            ingester = ScubaIngester(scribe, "scuba_in",
-                                     ScubaTable("bench", columnar=False),
-                                     metrics=MetricsRegistry(),
-                                     batched=batched)
-            done = 0
-            while True:
-                pumped = ingester.pump(10_000)
-                if pumped == 0 and ingester.lag_messages() == 0:
-                    return done
-                done += pumped
-        return timed(go)
+    def go() -> int:
+        ingester = ScubaIngester(scribe, "scuba_in",
+                                 ScubaTable("bench", columnar=False),
+                                 metrics=MetricsRegistry())
+        done = 0
+        while True:
+            pumped = ingester.pump(10_000)
+            if pumped == 0 and ingester.lag_messages() == 0:
+                return done
+            done += pumped
 
-    single_wall, _ = run(False)
-    batch_wall, ops = run(True)
-    return _speedup_result("scuba_ingest", single_wall, batch_wall, ops)
+    wall, ops = timed(go)
+    return BenchResult("scuba_ingest", wall, ops)
 
 
 def bench_windowed_agg(n: int) -> BenchResult:
@@ -1083,15 +1059,14 @@ def main(argv: list[str] | None = None) -> int:
           f"{counters['scan_reduction_factor']:.1f}x "
           f"({counters['naive_scans']:.0f} naive scans -> "
           f"{counters['absent_probes']:.0f} probes)")
-    for name in ("puma_pump", "swift_pump", "scuba_ingest", "windowed_agg"):
+    for name in ("swift_pump", "windowed_agg"):
         speedup = report["benchmarks"][name]["batched_speedup"]
         print(f"  {name} batched speedup: {speedup:.2f}x")
     compiled = report["benchmarks"]["puma_compiled"]
-    print(f"  puma compiled plan: {compiled['compiled_speedup']:.2f}x vs "
-          f"interpreted batch ({compiled['interpreted_us_per_op']:.2f} -> "
+    print(f"  puma compiled plan: "
           f"{compiled['compiled_us_per_op']:.2f} us/row, "
           f"{compiled['counters']['plan_cache_hit_rate']:.0%} plan-cache "
-          f"hit rate)")
+          f"hit rate")
     delta = report["benchmarks"]["delta_checkpoint"]
     print(f"  delta recovery: {delta['restart_speedup']:.1f}x vs full "
           f"state scan ({delta['legacy_ms_per_restart']:.2f}ms -> "
@@ -1189,9 +1164,7 @@ if pytest is not None:
     def test_batched_dataflow_beats_per_message():
         """The acceptance bar: >= 2x events/sec on each batched path."""
         benches = {
-            "puma_pump": lambda: bench_puma_pump(12_000),
             "swift_pump": lambda: bench_swift_pump(20_000),
-            "scuba_ingest": lambda: bench_scuba_ingest(20_000),
             "windowed_agg": lambda: bench_windowed_agg(12_000),
         }
         slow = {}
@@ -1206,19 +1179,12 @@ if pytest is not None:
         assert not slow, f"batched paths under 2x: {slow}"
 
     @pytest.mark.perf_smoke
-    def test_compiled_plan_beats_interpreted_batch():
-        """The acceptance bar: compiled execution >= 2x the interpreted
-        batch path, with the plan cache actually being exercised."""
+    def test_compiled_plan_cache_is_exercised():
+        """Repeated app construction compiles once and hits the cache."""
         result = bench_puma_compiled(12_000)
         assert result.counters["plan_cache_hits"] > 0
         assert result.counters["plan_cache_misses"] == 1
         assert result.counters["plan_cache_hit_rate"] > 0.5
-        speedup = result.metrics["compiled_speedup"]
-        if speedup < 2.0:  # one retry absorbs machine-load noise
-            speedup = max(speedup,
-                          bench_puma_compiled(12_000).metrics[
-                              "compiled_speedup"])
-        assert speedup >= 2.0, f"compiled speedup only {speedup:.2f}x"
 
     @pytest.mark.perf_smoke
     def test_delta_recovery_beats_full_state_scan():

@@ -161,7 +161,6 @@ _FLOOR_RULES: list[tuple[str, str, float]] = [
     ("segment_pruning", "segments_pruned_per_query", 1.0),
     ("dashboard_refresh", "cached_refresh_speedup", 5.0),
     ("dashboard_refresh", "cache_hits_per_refresh", 1.0),
-    ("puma_compiled", "compiled_speedup", 2.0),
     ("puma_compiled", "plan_cache_hit_rate", 0.5),
     ("delta_checkpoint", "restart_speedup", 5.0),
     ("shard_scaling", "scaling_efficiency_4x", 2.5),

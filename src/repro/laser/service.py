@@ -14,6 +14,9 @@ Its two paper use cases are both supported:
   Scribe, serve point lookups);
 - make a Hive query result available for lookup joins (bulk load from a
   Hive table).
+
+Scribe tailing decodes each read batch in one serde pass and stores it
+through :meth:`LaserTable.put_rows` as one WAL/memtable batch.
 """
 
 from __future__ import annotations
@@ -53,7 +56,6 @@ class LaserTable:
                  lifetime_seconds: float = float("inf"),
                  clock: Clock | None = None,
                  metrics: MetricsRegistry | None = None,
-                 batched: bool = True,
                  network: "Network | None" = None,
                  link: tuple[str, str] | None = None) -> None:
         if not key_columns:
@@ -66,7 +68,6 @@ class LaserTable:
         self.key_columns = list(key_columns)
         self.value_columns = list(value_columns)
         self.lifetime_seconds = lifetime_seconds
-        self.batched = batched
         self.clock = clock if clock is not None else WallClock()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self._store = LsmStore(name=f"laser:{name}")
@@ -172,26 +173,11 @@ class LaserTable:
             batch = reader.read_batch(max_messages)
             if not batch:
                 continue
-            # One serde pass for the whole batch (deserialization is the
-            # ingestion bottleneck — the paper's Figure 9 point).
+            # One serde pass and one WAL/memtable batch per Scribe batch
+            # (deserialization is the ingestion bottleneck — the paper's
+            # Figure 9 point).
             rows = serde.decode_batch([m.payload for m in batch])
-            if not self.batched:
-                for row in rows:
-                    self.put_row(row)
-                ingested += len(rows)
-                continue
-            # One WAL/memtable batch per Scribe batch: duplicate keys
-            # collapse to the last write, same as sequential puts.
-            expires = self.clock.now() + self.lifetime_seconds
-            value_columns = self.value_columns
-            composite = self._composite_key
-            puts = {
-                composite(row): _Stamped(
-                    {c: row.get(c) for c in value_columns}, expires)
-                for row in rows
-            }
-            self._store.write_batch(puts=puts)
-            self._writes_counter.increment(len(rows))
+            self.put_rows(rows)
             ingested += len(rows)
         return ingested
 

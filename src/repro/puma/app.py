@@ -16,15 +16,10 @@ against its input Scribe category:
   "can then be the input to another Puma app, any other realtime stream
   processor, or a data store" (Section 2.2).
 
-Three executors share the delta representation and are property-tested
-observably identical (``tests/property/``):
-
-- ``"compiled"`` (default): the :mod:`repro.puma.compiler` fused batch
-  programs — monomorphic folds, shared value columns, columnar kernels;
-- ``"batch"``: the interpreted batch path — per-row
-  ``AggregateFunction.update`` dispatch over grouped chunks (the
-  pre-compiler executor, kept as the benchmark baseline);
-- ``"row"``: the event-at-a-time oracle.
+One executor runs every app: the :mod:`repro.puma.compiler` fused batch
+programs (monomorphic folds, shared value columns, columnar kernels)
+over whole decoded Scribe batches. The per-message oracle it is
+property-tested against lives under ``tests/property/``.
 
 Because in-memory state is a delta, recovery loads only offsets (the
 durable base stays in HBase until queried or merged), a checkpoint
@@ -45,9 +40,7 @@ from typing import Any, Callable, Iterable, Iterator
 from repro import serde
 from repro.core.semantics import StateSemantics
 from repro.errors import ConfigError, PlanningError, ProcessCrashed
-from repro.serde import SerdeError
 from repro.puma.compiler import (
-    GLOBAL_WINDOW,
     CompiledTable,
     ExecutablePlan,
     PlanCache,
@@ -62,8 +55,6 @@ from repro.storage.hbase import HBaseTable
 
 Row = dict[str, Any]
 Cell = tuple[str, dict[str, Any]]  # (HBase row key, state)
-
-_EXECUTORS = ("compiled", "batch", "row")
 
 
 class PumaApp:  # lint: effect[output=at_least_once]
@@ -81,8 +72,6 @@ class PumaApp:  # lint: effect[output=at_least_once]
                  retain_windows: int | None = None,
                  clock: Clock | None = None,
                  metrics: MetricsRegistry | None = None,
-                 batched: bool = True,
-                 executor: str | None = None,
                  plan_cache: PlanCache | None = None,
                  semantics: StateSemantics = StateSemantics.AT_LEAST_ONCE
                  ) -> None:
@@ -93,22 +82,6 @@ class PumaApp:  # lint: effect[output=at_least_once]
         self.clock = clock if clock is not None else WallClock()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
         self.checkpoint_every_events = checkpoint_every_events
-        #: Execution mode. ``batched=False`` is kept as shorthand for the
-        #: per-message oracle ("row"); ``executor`` wins when given.
-        #: Batch modes decode the whole Scribe batch in one serde pass
-        #: and run each table's program over the chunk. Observably
-        #: identical to the per-message path — the property suite
-        #: asserts it — but a crash raised by a predicate/projection
-        #: lands at a coarser point, so crash-*scheduling* tests may
-        #: force the row executor.
-        if executor is None:
-            executor = "compiled" if batched else "row"
-        if executor not in _EXECUTORS:
-            raise ConfigError(
-                f"unknown executor {executor!r}; expected one of {_EXECUTORS}"
-            )
-        self.executor = executor
-        self.batched = executor != "row"
         #: Checkpoint ordering (Section 4.3): at-least-once is the
         #: paper's Puma guarantee; the other two are supported so the
         #: semantics lattice can be property-tested on this runtime too.
@@ -127,11 +100,11 @@ class PumaApp:  # lint: effect[output=at_least_once]
         self.retain_windows = retain_windows
         self.crashed = False
 
-        # Every executor runs off the compiled program: the fused batch
-        # path executes through it, and the interpreted paths share its
-        # per-aggregate create/merge/result closures for state plumbing
-        # (flush, query, views). Cached per app name; a redefinition
-        # under the same name invalidates (see compiler.PlanCache).
+        # The compiled program: its fused batch programs run every
+        # chunk, and its per-aggregate create/merge/result closures do
+        # the state plumbing (flush, query, views). Cached per app name;
+        # a redefinition under the same name invalidates (see
+        # compiler.PlanCache).
         self.plan_cache = (plan_cache if plan_cache is not None
                            else PlanCache(metrics=self.metrics))
         self._executable: ExecutablePlan = self.plan_cache.get(plan)
@@ -139,20 +112,12 @@ class PumaApp:  # lint: effect[output=at_least_once]
             table.name: table for table in self._executable.tables
             if table.kind == "aggregation"
         }
-        # Per-message oracle specs: (alias, update, arg, extra_args)
-        # resolved once per app, not per row (the ABC lookups are pure
-        # per-event tax).
-        self._row_specs: dict[str, tuple] = {
-            table.name: tuple(
-                (bound.alias, bound.function.update, bound.arg,
-                 bound.extra_args)
-                for bound in table.aggregates
-            )
-            for table in plan.tables if table.kind == "aggregation"
-        }
-        self._time_column = plan.time_column
 
         category = scribe.category(plan.scribe_category)
+        # Only an instance that owns the whole category follows its
+        # resizes (grow_to_buckets); a pinned subset is one shard of a
+        # manually parallelized deployment.
+        self._whole_category = buckets is None
         if buckets is None:
             buckets = list(range(category.num_buckets))
         self.buckets = buckets
@@ -341,11 +306,15 @@ class PumaApp:  # lint: effect[output=at_least_once]
     # -- processing ----------------------------------------------------------------
 
     def pump(self, max_messages: int = 1000) -> int:
-        """Process up to ``max_messages`` across this app's buckets."""
+        """Process up to ``max_messages`` across this app's buckets.
+
+        Each Scribe batch is decoded in one serde pass and each table's
+        compiled program runs over whole chunks, so a crash raised by a
+        predicate or projection lands at chunk, not message, granularity.
+        """
         if self.crashed:
             return 0
         processed = 0
-        per_message = self.executor == "row"
         try:
             for bucket, reader in self._readers.items():
                 while processed < max_messages:
@@ -354,42 +323,19 @@ class PumaApp:  # lint: effect[output=at_least_once]
                     )
                     if not batch:
                         break
-                    if per_message:
-                        processed += self._process_per_message(bucket, batch)
-                    else:
-                        processed += self._process_batch(bucket, batch)
+                    processed += self._process_batch(bucket, batch)
                     self._inflight = None
         except ProcessCrashed:
             self.crash()
         self._lag_gauge.set(self.lag_messages())
         return processed
 
-    def _process_per_message(self, bucket: int, batch) -> int:
-        """The seed's event-at-a-time path (kept as the oracle)."""
-        processed = 0
-        for message in batch:
-            self._inflight = (bucket, message.offset + 1)
-            try:
-                row = message.decode()
-            except SerdeError:
-                self._poison_counter.increment()
-                processed += 1
-                self._events_since_checkpoint += 1
-                continue
-            self._process_row(row)
-            processed += 1
-            self._events_since_checkpoint += 1
-            if (self._events_since_checkpoint
-                    >= self.checkpoint_every_events):
-                self.checkpoint()
-        return processed
-
     def _process_batch(self, bucket: int, batch) -> int:
         """Batch-at-a-time: one serde pass, one table program per chunk.
 
         The batch is split into chunks aligned with the checkpoint
-        cadence (poison messages count toward it, exactly as in the
-        per-message path), so checkpoints land at identical offsets.
+        cadence (poison messages count toward it, exactly as they would
+        one message at a time), so checkpoints land at identical offsets.
         """
         decoded = serde.decode_batch(
             [message.payload for message in batch], errors="none"
@@ -398,10 +344,9 @@ class PumaApp:  # lint: effect[output=at_least_once]
         total = len(batch)
         every = self.checkpoint_every_events
         while index < total:
-            # Chunk end = the good row at which the per-message path
+            # Chunk end = the good row at which a message-at-a-time loop
             # would checkpoint (poison rows count toward the cadence but
-            # never trigger it themselves — they `continue` past the
-            # check), or the end of the batch.
+            # never trigger it themselves), or the end of the batch.
             since = self._events_since_checkpoint
             end = index
             checkpoint_after = False
@@ -427,72 +372,26 @@ class PumaApp:  # lint: effect[output=at_least_once]
                 self.checkpoint()
         return total
 
-    def _process_row(self, row: Row) -> None:
-        self._events_counter.increment()
-        for table in self.plan.tables:
-            if table.predicate is not None and not table.predicate(row):
-                continue
-            if table.kind == "filter":
-                self._emit_filtered(table, row)
-            else:
-                self._aggregate_row(table, row)
-
     def _process_rows(self, rows: list[Row]) -> None:
-        """One chunk through the batch executor.
+        """One chunk through every table's compiled program.
 
         Tables are independent, per-group fold order preserves row
         order, and evicted windows continue from their durable HBase
-        base — so table-major execution is observably identical to the
-        row-major per-message path.
+        base — so table-major execution is observably identical to
+        row-major, one-message-at-a-time execution.
         """
         self._events_counter.increment(len(rows))
-        if self.executor == "compiled":
-            for ctable in self._executable.tables:
-                if ctable.kind == "filter":
-                    projected = ctable.project_batch(rows)
-                    if projected:
-                        self._emit_projected(ctable.name, projected)
-                else:
-                    deltas = ctable.fold_batch(rows)
-                    if deltas:
-                        self._merge_deltas(ctable, deltas)
-                    if self.retain_windows is not None:
-                        self._evict_old_windows(ctable.name)
-            return
-        # Interpreted batch: the pre-compiler executor (per-row ABC
-        # dispatch over grouped chunks), kept as the benchmark baseline
-        # and a second equivalence point for the property suite.
-        for table in self.plan.tables:
-            predicate = table.predicate
-            passing = (rows if predicate is None
-                       else [row for row in rows if predicate(row)])
-            if not passing:
-                continue
-            if table.kind == "filter":
-                self._emit_filtered_rows(table, passing)
+        for ctable in self._executable.tables:
+            if ctable.kind == "filter":
+                projected = ctable.project_batch(rows)
+                if projected:
+                    self._emit_projected(ctable.name, projected)
             else:
-                self._aggregate_rows(table, passing)
-
-    def _emit_filtered(self, table: TablePlan, row: Row) -> None:
-        record = {alias: evaluator(row)
-                  for alias, evaluator in table.projections}
-        time_column = self._time_column
-        record.setdefault(time_column, row.get(time_column))
-        key = str(record.get(table.projections[0][0], ""))
-        self._writers[table.name].write(record, key=key)
-        self._out_counters[table.name].increment()
-
-    def _emit_filtered_rows(self, table: TablePlan, rows: list[Row]) -> None:
-        projections = table.projections
-        time_column = self._time_column
-        key_alias = projections[0][0]
-        write = self._writers[table.name].write
-        for row in rows:
-            record = {alias: evaluator(row)
-                      for alias, evaluator in projections}
-            record.setdefault(time_column, row.get(time_column))
-            write(record, key=str(record.get(key_alias, "")))
-        self._out_counters[table.name].increment(len(rows))
+                deltas = ctable.fold_batch(rows)
+                if deltas:
+                    self._merge_deltas(ctable, deltas)
+                if self.retain_windows is not None:
+                    self._evict_old_windows(ctable.name)
 
     def _emit_projected(self, table_name: str,
                         projected: list[tuple[Row, str]]) -> None:
@@ -500,80 +399,6 @@ class PumaApp:  # lint: effect[output=at_least_once]
         for record, key in projected:
             write(record, key=key)
         self._out_counters[table_name].increment(len(projected))
-
-    def _aggregate_row(self, table: TablePlan, row: Row) -> None:
-        event_time = row.get(self._time_column)
-        if event_time is None:
-            return  # rows without an event time cannot be windowed
-        table_name = table.name
-        window_start = (GLOBAL_WINDOW if table.window_seconds is None else
-                        self._compiled_tables[table_name].aligned(
-                            float(event_time), table.window_seconds))
-        state_key = (table_name, window_start, table.group_key(row))
-        group_state = self._state.get(state_key)
-        if group_state is None:
-            group_state = self._identity_state(table_name)
-            self._state[state_key] = group_state
-            self._register_window(table_name, window_start, state_key)
-        for alias, update, arg, extra in self._row_specs[table_name]:
-            value = 1 if arg is None else arg(row)
-            group_state[alias] = update(group_state[alias], value, extra)
-        self._dirty.add(state_key)
-        if self.retain_windows is not None:
-            self._evict_old_windows(table_name)
-
-    def _aggregate_rows(self, table: TablePlan, rows: list[Row]) -> None:
-        """Fold a chunk's rows with one state touch per (window, group).
-
-        Row order is preserved within each group, so every aggregate's
-        update sequence matches the per-message path exactly; eviction
-        runs once per chunk, which is equivalent because evicted windows
-        always continue from their durable HBase base.
-        """
-        time_column = self._time_column
-        window_seconds = table.window_seconds
-        group_key_of = table.group_key
-        table_name = table.name
-        aligned = self._compiled_tables[table_name].aligned
-        groups: dict[tuple[float, tuple], list[Row]] = {}
-        for row in rows:
-            event_time = row.get(time_column)
-            if event_time is None:
-                continue  # rows without an event time cannot be windowed
-            cell = (GLOBAL_WINDOW if window_seconds is None
-                    else aligned(float(event_time), window_seconds),
-                    group_key_of(row))
-            bucket = groups.get(cell)
-            if bucket is None:
-                groups[cell] = [row]
-            else:
-                bucket.append(row)
-        if not groups:
-            return
-        state = self._state
-        dirty = self._dirty
-        for (window_start, group_key), grouped in groups.items():
-            state_key = (table_name, window_start, group_key)
-            group_state = state.get(state_key)
-            if group_state is None:
-                group_state = self._identity_state(table_name)
-                state[state_key] = group_state
-                self._register_window(table_name, window_start, state_key)
-            for bound in table.aggregates:
-                update = bound.function.update
-                arg = bound.arg
-                extra = bound.extra_args
-                acc = group_state[bound.alias]
-                if arg is None:
-                    for _ in grouped:
-                        acc = update(acc, 1, extra)
-                else:
-                    for row in grouped:
-                        acc = update(acc, arg(row), extra)
-                group_state[bound.alias] = acc
-            dirty.add(state_key)
-        if self.retain_windows is not None:
-            self._evict_old_windows(table_name)
 
     def _merge_deltas(self, ctable: CompiledTable,
                       deltas: dict[tuple[float, tuple], dict[str, Any]]
@@ -802,15 +627,11 @@ class PumaApp:  # lint: effect[output=at_least_once]
         explicit bucket subset is one shard of a manually parallelized
         deployment and must not steal its siblings' buckets.
         """
-        category = self.scribe.category(self.plan.scribe_category)
-        for bucket in range(len(self._readers), category.num_buckets):
-            self.buckets.append(bucket)
-            self._readers[bucket] = ScribeReader(
-                self.scribe, self.plan.scribe_category, bucket
-            )
-            saved = self.hbase.get_column(self._offset_row(bucket), "offset")
-            if saved is not None:
-                self._readers[bucket].seek(saved)
+        if self._whole_category:
+            category = self.scribe.category(self.plan.scribe_category)
+            for bucket in range(category.num_buckets):
+                if bucket not in self._readers:
+                    self.adopt_bucket(bucket)
         return len(self._readers)
 
     # -- shard handoff (live rebalancing) --------------------------------------
@@ -831,6 +652,7 @@ class PumaApp:  # lint: effect[output=at_least_once]
             )
         if not self.crashed:
             self.checkpoint()
+        self._whole_category = False  # the sibling owns a bucket now
         self.buckets.remove(bucket)
         del self._readers[bucket]
         if self._inflight is not None and self._inflight[0] == bucket:

@@ -187,7 +187,7 @@ class CompiledTable:
         self.kind = table.kind
         self.predicate = table.predicate
         self.window_seconds = table.window_seconds
-        #: Window assignment for every executor; fractional sizes round to
+        #: Window assignment (the row oracle's too); fractional sizes round to
         #: the row key's ``%020.6f``: one float per start, memory and HBase.
         self.aligned = (
             aligned_start if table.window_seconds is None

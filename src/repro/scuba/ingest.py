@@ -9,10 +9,10 @@ re-delivers: its position always moves forward, even across restarts.
 Malformed payloads are counted and dropped — best effort extends to
 poison messages, which must not wedge the ingestion loop.
 
-Ingestion is batch-at-a-time by default: the sampling decisions are made
-first (consuming the RNG stream in message order, exactly as the
-per-message path does), then only the sampled-in payloads are decoded
-in one :func:`repro.serde.decode_batch` call and stored with one
+Ingestion is batch-at-a-time: the sampling decisions are made first
+(consuming the RNG stream in message order, one draw per message), then
+only the sampled-in payloads are decoded in one
+:func:`repro.serde.decode_batch` call and stored with one
 :meth:`ScubaTable.add_rows` call.
 """
 
@@ -35,14 +35,12 @@ class ScubaIngester:
 
     def __init__(self, scribe: ScribeStore, category: str, table: ScubaTable,
                  sample_rate: float = 1.0, seed: int = 0,
-                 metrics: MetricsRegistry | None = None,
-                 batched: bool = True) -> None:
+                 metrics: MetricsRegistry | None = None) -> None:
         if not 0.0 < sample_rate <= 1.0:
             raise ConfigError("sample_rate must be in (0, 1]")
         self.name = f"scuba.ingest.{table.name}"
         self.table = table
         self.sample_rate = sample_rate
-        self.batched = batched
         # Rates and lag are measured on the bus's clock, never the wall
         # clock: a SimClock run is a pure function of its seed (R001),
         # so the rows/sec gauge only updates when modeled time passes.
@@ -65,32 +63,12 @@ class ScubaIngester:
         """Ingest up to ``max_messages``; returns rows actually stored."""
         started = self.clock.now()
         messages = self._reader.read_batch(max_messages)
-        if self.batched:
-            stored = self._store_batched(messages)
-        else:
-            stored = self._store_per_message(messages)
+        stored = self._store_batched(messages)
         self._rows_counter.increment(stored)
         elapsed = self.clock.now() - started
         self._lag_gauge.set(float(self._reader.lag_messages()))
         if stored and elapsed > 0:
             self._rate_gauge.set(stored / elapsed)
-        return stored
-
-    def _store_per_message(self, messages: list[Message]) -> int:
-        stored = 0
-        sample_rate = self.sample_rate
-        for message in messages:
-            if (sample_rate < 1.0
-                    and self._rng.random() >= sample_rate):
-                self._sampled_out_counter.increment()
-                continue
-            try:
-                row = message.decode()
-            except serde.SerdeError:
-                self._poison_counter.increment()
-                continue
-            self.table.add(row)
-            stored += 1
         return stored
 
     def _store_batched(self, messages: list[Message]) -> int:

@@ -7,6 +7,9 @@ counters — under every semantics policy, with poison messages mixed in.
 Crash injection relaxes this to *semantic* equivalence: after a restart
 and a full drain, the recovered durable state and delivered sets must
 match, even though the batched path crashes at a coarser point.
+Puma and Scuba ingest have no per-message path in production; their
+references are ``RowOraclePumaApp`` (``puma_row_oracle.py``) and the
+per-message loop in ``_run_scuba``.
 
 Incremental leveled compaction gets the same treatment: bounded
 ``compact_step`` sequences (manual or scheduler-driven) and the full
@@ -43,6 +46,7 @@ from repro.stylus.state import InMemoryStateBackend
 from repro.stylus.windowed import WindowedAggregator
 from repro.swift.engine import SwiftApp
 
+from tests.property.puma_row_oracle import RowOraclePumaApp
 from tests.stylus.helpers import EchoProcessor
 
 POISON = "<poison>"
@@ -275,7 +279,7 @@ def _crashing_plan(app_plan, crash_on_call):
     )
 
 
-def _run_puma(items, batch_plan, checkpoint_every, retain, batched,
+def _run_puma(items, batch_plan, checkpoint_every, retain, app_class,
               crash_on_call=None):
     scribe = ScribeStore(clock=SimClock())
     scribe.create_category("clicks", num_buckets=1)
@@ -289,10 +293,9 @@ def _run_puma(items, batch_plan, checkpoint_every, retain, batched,
     if crash_on_call is not None:
         app_plan = _crashing_plan(app_plan, crash_on_call)
     hbase = HBaseTable("state")
-    app = PumaApp(app_plan, scribe, hbase,
-                  checkpoint_every_events=checkpoint_every,
-                  retain_windows=retain, clock=scribe.clock,
-                  batched=batched)
+    app = app_class(app_plan, scribe, hbase,
+                    checkpoint_every_events=checkpoint_every,
+                    retain_windows=retain, clock=scribe.clock)
 
     plan_index = 0
     while True:
@@ -324,10 +327,9 @@ def _run_puma(items, batch_plan, checkpoint_every, retain, batched,
        retain=st.one_of(st.none(), st.integers(1, 3)))
 def test_puma_batched_matches_per_message(items, batch_plan,
                                           checkpoint_every, retain):
-    batched = _run_puma(items, batch_plan, checkpoint_every, retain,
-                        batched=True)
+    batched = _run_puma(items, batch_plan, checkpoint_every, retain, PumaApp)
     single = _run_puma(items, batch_plan, checkpoint_every, retain,
-                       batched=False)
+                       RowOraclePumaApp)
     assert batched == single
 
 
@@ -343,9 +345,9 @@ def test_puma_crash_recovery_is_semantically_equivalent(
     recovered aggregate state and the *set* of delivered filter rows
     must match exactly."""
     results = [
-        _run_puma(items, batch_plan, checkpoint_every, None,
-                  batched=flag, crash_on_call=crash_on_call)
-        for flag in (True, False)
+        _run_puma(items, batch_plan, checkpoint_every, None, app_class,
+                  crash_on_call=crash_on_call)
+        for app_class in (PumaApp, RowOraclePumaApp)
     ]
     batched, single = results
     assert batched["query"] == single["query"]
@@ -473,7 +475,7 @@ def test_swift_crash_recovery_is_semantically_equivalent(
 # -- Scuba ----------------------------------------------------------------------
 
 
-def _run_scuba(items, batch_plan, sample_rate, batched):
+def _run_scuba(items, batch_plan, sample_rate, per_message=False):
     scribe = ScribeStore(clock=SimClock())
     scribe.create_category("events", num_buckets=1)
     for item in items:
@@ -486,7 +488,28 @@ def _run_scuba(items, batch_plan, sample_rate, batched):
     metrics = MetricsRegistry()
     ingester = ScubaIngester(scribe, "events", table,
                              sample_rate=sample_rate, seed=7,
-                             metrics=metrics, batched=batched)
+                             metrics=metrics)
+    if per_message:
+        # The per-message reference: RNG draw, then decode, then add, one
+        # message at a time, through the ingester's own reader, RNG and
+        # counters.
+        def store_per_message(messages):
+            stored = 0
+            for message in messages:
+                if (sample_rate < 1.0
+                        and ingester._rng.random() >= sample_rate):
+                    ingester._sampled_out_counter.increment()
+                    continue
+                try:
+                    row = message.decode()
+                except serde.SerdeError:
+                    ingester._poison_counter.increment()
+                    continue
+                table.add(row)
+                stored += 1
+            return stored
+
+        ingester._store_batched = store_per_message
     plan_index = 0
     while True:
         size = batch_plan[plan_index % len(batch_plan)]
@@ -507,8 +530,8 @@ def _run_scuba(items, batch_plan, sample_rate, batched):
 @given(items=streams, batch_plan=batch_plans,
        sample_rate=st.sampled_from([1.0, 0.7, 0.3]))
 def test_scuba_batched_matches_per_message(items, batch_plan, sample_rate):
-    batched = _run_scuba(items, batch_plan, sample_rate, batched=True)
-    single = _run_scuba(items, batch_plan, sample_rate, batched=False)
+    batched = _run_scuba(items, batch_plan, sample_rate)
+    single = _run_scuba(items, batch_plan, sample_rate, per_message=True)
     assert batched == single
 
 

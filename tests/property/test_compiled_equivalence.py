@@ -1,20 +1,21 @@
 """Property tests: the compiled executor is a pure optimization.
 
 Randomized PQL programs — every aggregate, filters, UDFs in aggregate
-arguments and predicates, windowed and global tables — run through all
-three Puma executors over the same randomized stream (out-of-order
-event times, poison mixed in, randomized pump sizes and checkpoint
-cadence). The compiled ``ExecutablePlan`` path, the interpreted batch
-path, and the per-message oracle must produce identical query results,
+arguments and predicates, windowed and global tables — run through the
+production ``PumaApp`` (the compiled ``ExecutablePlan``) and through
+``RowOraclePumaApp`` (one message, one row, one per-row
+``AggregateFunction.update`` at a time) over the same randomized stream
+(out-of-order event times, poison mixed in, randomized pump sizes and
+checkpoint cadence). Both must produce identical query results,
 identical durable HBase state, byte-identical filter output, and
 identical counters.
 
 Crash injection at the checkpoint fault point (between the state-flush
 and offset-save phases) extends the claim to recovery under all three
-``StateSemantics`` policies: the executors stay identical to each
-other, and the totals sit where the semantics lattice says —
-at-least-once ≥ the no-crash reference, at-most-once ≤ it,
-exactly-once == it (its two phases have no fault point between them).
+``StateSemantics`` policies: production stays identical to the oracle,
+and the totals sit where the semantics lattice says — at-least-once ≥
+the no-crash reference, at-most-once ≤ it, exactly-once == it (its two
+phases have no fault point between them).
 
 Float caveat: ``stddev``'s Chan merge is exact in expectation but not
 bit-exact against an update fold, so it is excluded from the exact
@@ -36,9 +37,11 @@ from repro.scribe.reader import CategoryReader
 from repro.scribe.store import ScribeStore
 from repro.storage.hbase import HBaseTable
 
+from tests.property.puma_row_oracle import RowOraclePumaApp
+
 POISON = "<poison>"
 
-EXECUTORS = ("compiled", "batch", "row")
+APPS = (PumaApp, RowOraclePumaApp)  # production, oracle
 
 # Every aggregate except stddev (float-exactness; see module docstring),
 # including UDFs inside aggregate arguments and shared argument
@@ -115,7 +118,7 @@ programs = st.builds(
 batch_plans = st.lists(st.integers(1, 13), min_size=1, max_size=4)
 
 
-def _run(source, items, batch_plan, checkpoint_every, executor,
+def _run(source, items, batch_plan, checkpoint_every, app_class,
          retain=None, semantics=StateSemantics.AT_LEAST_ONCE,
          crash_at_checkpoint=None):
     scribe = ScribeStore(clock=SimClock())
@@ -128,10 +131,10 @@ def _run(source, items, batch_plan, checkpoint_every, executor,
 
     hbase = HBaseTable("state")
     metrics = MetricsRegistry()
-    app = PumaApp(plan(parse(source)), scribe, hbase,
-                  checkpoint_every_events=checkpoint_every,
-                  retain_windows=retain, clock=scribe.clock,
-                  metrics=metrics, executor=executor, semantics=semantics)
+    app = app_class(plan(parse(source)), scribe, hbase,
+                    checkpoint_every_events=checkpoint_every,
+                    retain_windows=retain, clock=scribe.clock,
+                    metrics=metrics, semantics=semantics)
     if crash_at_checkpoint is not None:
         calls = [0]
 
@@ -180,14 +183,13 @@ def _run(source, items, batch_plan, checkpoint_every, executor,
 @given(source=programs, items=puma_streams, batch_plan=batch_plans,
        checkpoint_every=st.integers(1, 9),
        retain=st.one_of(st.none(), st.integers(1, 3)))
-def test_compiled_matches_interpreted_and_oracle(source, items, batch_plan,
-                                                 checkpoint_every, retain):
-    compiled, interpreted, oracle = (
-        _run(source, items, batch_plan, checkpoint_every, executor,
+def test_compiled_matches_oracle(source, items, batch_plan,
+                                 checkpoint_every, retain):
+    compiled, oracle = (
+        _run(source, items, batch_plan, checkpoint_every, app_class,
              retain=retain)
-        for executor in EXECUTORS
+        for app_class in APPS
     )
-    assert compiled == interpreted
     assert compiled == oracle
 
 
@@ -199,21 +201,20 @@ def test_compiled_matches_interpreted_and_oracle(source, items, batch_plan,
 def test_checkpoint_crash_equivalence_under_all_semantics(
         items, batch_plan, checkpoint_every, crash_at_checkpoint,
         semantics):
-    """A crash between the checkpoint phases hits every executor at the
-    same event offset, so the executors must stay *identical* — and the
-    surviving counts must respect the semantics lattice."""
+    """A crash between the checkpoint phases hits production and the
+    oracle at the same event offset, so they must stay *identical* — and
+    the surviving counts must respect the semantics lattice."""
     source = build_source((0, 1), 0, windowed=True, grouped=True,
                           filter_index=0)
     crashed_runs = [
-        _run(source, items, batch_plan, checkpoint_every, executor,
+        _run(source, items, batch_plan, checkpoint_every, app_class,
              semantics=semantics, crash_at_checkpoint=crash_at_checkpoint)
-        for executor in EXECUTORS
+        for app_class in APPS
     ]
     assert crashed_runs[0] == crashed_runs[1]
-    assert crashed_runs[0] == crashed_runs[2]
 
-    reference = _run(source, items, batch_plan, checkpoint_every, "row",
-                     semantics=semantics)
+    reference = _run(source, items, batch_plan, checkpoint_every,
+                     RowOraclePumaApp, semantics=semantics)
     total = sum(row["n"] for row in crashed_runs[0]["query"])
     expected = sum(row["n"] for row in reference["query"])
     if semantics is StateSemantics.AT_LEAST_ONCE:
@@ -240,8 +241,8 @@ SELECT page, stddev(ms) AS spread, count(*) AS n FROM events [1 minute];
 CREATE TABLE filt AS SELECT user, page FROM events WHERE page = 'home';
 """
     compiled, oracle = (
-        _run(source, items, batch_plan, checkpoint_every, executor)
-        for executor in ("compiled", "row"))
+        _run(source, items, batch_plan, checkpoint_every, app_class)
+        for app_class in APPS)
     assert len(compiled["query"]) == len(oracle["query"])
     for left, right in zip(compiled["query"], oracle["query"]):
         assert (left["window_start"], left["page"], left["n"]) == \

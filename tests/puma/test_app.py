@@ -11,6 +11,8 @@ from repro.scribe.reader import CategoryReader
 from repro.scribe.store import ScribeStore
 from repro.storage.hbase import HBaseTable
 
+from tests.property.puma_row_oracle import RowOraclePumaApp
+
 AGG_SOURCE = """
 CREATE APPLICATION counts;
 CREATE INPUT TABLE clicks(event_time, page, user) FROM SCRIBE("clicks")
@@ -108,10 +110,11 @@ class TestAggregation:
         0.1) == 0.30000000000000004`` stays one cell across a checkpoint:
         in memory and in HBase it has the start its row key spells."""
         source = AGG_SOURCE.replace("[1 minute]", "[0.1 seconds]")
-        for executor in ("compiled", "batch", "row"):
+        for app_class in (PumaApp, RowOraclePumaApp):
             scribe = ScribeStore(clock=SimClock())
             scribe.create_category("clicks", 1)
-            app = make_app(scribe, source, executor=executor)
+            app = app_class(plan(parse(source)), scribe, HBaseTable("state"),
+                            clock=scribe.clock)
             for i in range(5):
                 scribe.write_record("clicks", {"event_time": 0.35,
                                                "page": "home", "user": "u"})
@@ -235,6 +238,43 @@ class TestParallelism:
         single = {key: state["n"]
                   for key, state in whole.partial_states("clicks_1min").items()}
         assert {k: v["n"] for k, v in combined.items()} == single
+
+
+class TestGrowToBuckets:
+    """A category resize extends only whole-category instances, and only
+    by the buckets they do not already read."""
+
+    def test_pinned_instance_does_not_grow(self, scribe):
+        scribe.create_category("clicks", 4)
+        app = make_app(scribe, buckets=[0, 2])
+        write_clicks(scribe, 20)
+        app.pump()
+        positions = {bucket: app.bucket_position(bucket)
+                     for bucket in (0, 2)}
+        scribe.category("clicks").resize(6)
+        assert app.grow_to_buckets() == 2
+        assert app.buckets == [0, 2]
+        # The live readers were not replaced by ones at the saved offset.
+        assert {bucket: app.bucket_position(bucket)
+                for bucket in (0, 2)} == positions
+
+    def test_whole_category_instance_adopts_new_buckets(self, wired):
+        app = make_app(wired)
+        write_clicks(wired, 20)
+        app.pump()
+        positions = {bucket: app.bucket_position(bucket) for bucket in (0, 1)}
+        wired.category("clicks").resize(4)
+        assert app.grow_to_buckets() == 4
+        assert app.buckets == [0, 1, 2, 3]
+        assert {bucket: app.bucket_position(bucket)
+                for bucket in (0, 1)} == positions
+
+    def test_released_bucket_is_not_taken_back(self, wired):
+        app = make_app(wired)
+        app.release_bucket(1)
+        wired.category("clicks").resize(4)
+        assert app.grow_to_buckets() == 1
+        assert app.buckets == [0]
 
 
 class TestWindowEviction:

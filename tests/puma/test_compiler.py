@@ -138,12 +138,6 @@ class TestAppIntegration:
         assert app._executable is executable
         assert cache.stats()["hits"] >= 1
 
-    def test_unknown_executor_rejected(self, scribe, app_plan):
-        scribe.create_category("events", 1)
-        with pytest.raises(ConfigError):
-            PumaApp(app_plan, scribe, HBaseTable("state"),
-                    clock=scribe.clock, executor="vectorized")
-
     def test_service_delete_and_redeploy_recompiles(self, scribe):
         """Regression: redefinition under one name must not serve the
         stale compiled program."""
