@@ -156,7 +156,6 @@ _COUNTER_RULES: list[tuple[str, str]] = [
 #: top-level first, then under ``counters``.
 _FLOOR_RULES: list[tuple[str, str, float]] = [
     ("scuba_query", "columnar_speedup", 3.0),
-    ("scuba_compiled", "compiled_speedup", 1.5),
     ("scuba_compiled", "plan_cache_hit_rate", 0.5),
     ("segment_pruning", "segments_pruned_per_query", 1.0),
     ("dashboard_refresh", "cached_refresh_speedup", 5.0),

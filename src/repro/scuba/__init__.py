@@ -7,10 +7,11 @@ charge their scanned-row work to a metrics registry so the migration
 experiment can compare read-time versus write-time CPU directly.
 
 Storage is columnar (sealed time-sorted segments + a mutable row tail,
-:mod:`repro.scuba.columns`), execution is vectorized with an incremental
-dashboard-refresh cache (:mod:`repro.scuba.cache`); the per-row scan
-engine survives as ``ScubaQuery(engine="rows")`` — the paper-faithful
-cost-model baseline.
+:mod:`repro.scuba.columns`). Every query runs one compiled plan
+(:mod:`repro.scuba.compiler`) with an incremental dashboard-refresh
+cache (:mod:`repro.scuba.cache`); the per-row scan engine survives as
+``ScubaQuery(engine="rows")`` — the paper-faithful cost-model baseline
+and the oracle the compiled engine is tested against.
 """
 
 from repro.scuba.cache import ScubaQueryCache

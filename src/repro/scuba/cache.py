@@ -25,7 +25,9 @@ buckets the cache refuses to store in the first place.
 
 The cache never stores results influenced by an opaque ``where``
 callable — only declarative :class:`~repro.scuba.query.ColumnFilter`
-predicates participate in the query shape.
+predicates participate in the query shape. A ``where`` query still
+takes its plan from ``plans`` (the shape never holds ``where``); it just
+caches no partials.
 """
 
 from __future__ import annotations

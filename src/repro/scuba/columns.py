@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from array import array
 from dataclasses import dataclass
+from math import isnan
 from typing import Any, Callable, Iterator, Sequence
 
 Row = dict[str, Any]
@@ -52,8 +53,9 @@ class ColumnZone:
     stronger — if the zone says no row can pass a filter, none can.
 
     - ``min_value``/``max_value``: range of the numeric non-null values,
-      or ``None`` when the column holds non-numeric values (no sound
-      range claim is possible);
+      or ``None`` when the column holds non-numeric values or a NaN (no
+      sound range claim is possible: NaN fails every comparison, so it
+      poisons both ``min``/``max`` and the range test);
     - ``has_missing``: whether any row reads as null (absent key or
       literal ``None``);
     - ``domain``: the distinct query-visible values (possibly a
@@ -75,7 +77,8 @@ def _numeric_zone(values: Sequence[Any]) -> ColumnZone:
     for value in values:
         if value is MISSING or value is None:
             has_missing = True
-        elif numeric and isinstance(value, (int, float)):
+        # value == value is False only for NaN, which claims no range.
+        elif numeric and isinstance(value, (int, float)) and value == value:
             if lo is None or value < lo:
                 lo = value
             if hi is None or value > hi:
@@ -99,9 +102,10 @@ class FloatColumn:
     def zone(self) -> ColumnZone:
         if self._zone is None:
             data = self.data
-            self._zone = ColumnZone(min(data) if data else None,
-                                    max(data) if data else None,
-                                    False, None)
+            if not data or any(map(isnan, data)):  # NaN: no range claim
+                self._zone = ColumnZone(None, None, False, None)
+            else:
+                self._zone = ColumnZone(min(data), max(data), False, None)
         return self._zone
 
     def get(self, i: int) -> Any:
@@ -163,13 +167,6 @@ class DictColumn:
 
     def codes(self, lo: int, hi: int) -> tuple[Sequence[int], list[Any]]:
         return self._codes[lo:hi], list(self._decoded)
-
-    def mask(self, passes: Callable[[Any], bool], lo: int,
-             hi: int) -> list[bool]:
-        # Evaluate the predicate once per dictionary entry, then project
-        # the boolean through the codes — the vectorization win.
-        allowed = [passes(value) for value in self._decoded]
-        return [allowed[code] for code in self._codes[lo:hi]]
 
     def sliced(self, lo: int) -> "DictColumn":
         return DictColumn(self._codes[lo:], self.dictionary)
@@ -333,13 +330,6 @@ class Segment:
                                     in zip(dictionaries, key)))
             append(code)
         return out, groups
-
-    def filter_mask(self, name: str, passes: Callable[[Any], bool],
-                    lo: int, hi: int) -> list[bool]:
-        column = self.columns.get(name)
-        if column is None:
-            return [passes(None)] * (hi - lo)
-        return column.mask(passes, lo, hi)
 
     def zone(self, name: str) -> ColumnZone | None:
         """The column's zone map, or ``None`` when the column is absent

@@ -1,31 +1,31 @@
 """Compile Scuba query shapes into fused per-segment programs.
 
-The interpreted columnar engine re-derives the same facts on every
-query: which aggregate and kernel to use, how each filter vectorizes
-over each column encoding, how group codes combine. This module lowers
-a query *shape* — the ``(aggregation, value_column, group_by, filters)``
-identity the query cache already keys partials by — once, into an
-immutable :class:`ScubaPlan` whose per-segment program is fused:
+Every columnar Scuba query runs through a plan. This module lowers a
+query *shape* — the ``(aggregation, value_column, group_by, filters)``
+identity the query cache keys partials by — once, into an immutable
+:class:`ScubaPlan` whose per-segment program is fused:
 
 - filters are evaluated in the *dictionary domain* (once per distinct
   value, with whole-segment ``True``/``False`` early-outs when a
   predicate is non-selective at the domain level) or, for float
   columns, as inline comparator comprehensions — never as per-row
   ``passes()`` calls;
+- an opaque ``where`` callable, which no shape can hold, is ANDed in
+  as one more keep-mask step over the materialized rows;
 - selection, grouping, and aggregation share one pass over the
   surviving rows, folding through the same monoid kernels Puma's
-  compiled plans use (:mod:`repro.core.kernels`), so compiled partials
-  are *state-identical* to interpreted ones and the two engines share
-  the query cache freely;
+  compiled plans use (:mod:`repro.core.kernels`), so segment partials
+  merge with each other and with the per-row tail fold freely;
 - single-group-column and no-filter shapes skip the general machinery
   the way :mod:`repro.puma.compiler` specializes them.
 
 Zone maps (:class:`~repro.scuba.columns.ColumnZone`) let a plan refute
 whole segments before any scan: if no value a segment *could* contain
-passes a filter, the segment contributes nothing. Pruning is
-conservative — a zone's claims may be weaker than reality (sliced
-dictionary supersets) but never stronger — so a pruned segment is
-exactly one whose fused program would have returned ``{}``.
+passes a column filter, the segment contributes nothing (``where`` is
+opaque, so it never prunes). Pruning is conservative — a zone's claims
+may be weaker than reality (sliced dictionary supersets) but never
+stronger — so a pruned segment is exactly one whose fused program would
+have returned ``{}``.
 
 Plans are cached in a :class:`ScubaPlanCache` keyed by shape, owned by
 the table's :class:`~repro.scuba.cache.ScubaQueryCache` and cleared
@@ -203,12 +203,14 @@ class ScubaPlan:
             not _zone_may_match(compiled.filter, segment.zone(compiled.column))
             for compiled in self.compiled_filters)
 
-    def segment_states(self, segment: Segment, lo: int, hi: int) -> States:
+    def segment_states(self, segment: Segment, lo: int, hi: int,
+                       where: Callable[[dict], bool] | None = None) -> States:
         """The fused filter -> select -> group -> fold program.
 
-        Produces states byte-identical to the interpreted engine's
-        ``_segment_states`` for the same slice (property-tested), which
-        is what lets both engines share cached partials.
+        ``where`` is evaluated on each materialized row the column
+        filters kept, after them — the order the row engine's
+        ``_row_passes`` uses. Produces the states the row engine's
+        per-row fold would for the same slice (property-tested).
         """
         keep: bool | list = True
         for compiled in self.compiled_filters:
@@ -220,6 +222,10 @@ class ScubaPlan:
             # operator.and_ over bools/0-1 ints stays C-level; compress
             # and sum below only need truthiness.
             keep = step if keep is True else list(map(and_, keep, step))
+        if where is not None:
+            rows = segment.rows(lo, hi)
+            keep = ([bool(where(row)) for row in rows] if keep is True else
+                    [bool(k and where(row)) for k, row in zip(keep, rows)])
 
         function = self.function
         kernel = self.kernel

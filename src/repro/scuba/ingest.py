@@ -6,8 +6,9 @@ duplication. Exactly-once semantics are not possible because Scuba does
 not support transactions, so at-most-once output semantics are the best
 choice" (Section 4.3.2). The ingester therefore samples rows and never
 re-delivers: its position always moves forward, even across restarts.
-Malformed payloads are counted and dropped — best effort extends to
-poison messages, which must not wedge the ingestion loop.
+Malformed payloads, and rows without a usable time value, are counted
+as poison and dropped — best effort extends to poison messages, which
+must not wedge the ingestion loop.
 
 Ingestion is batch-at-a-time: the sampling decisions are made first
 (consuming the RNG stream in message order, one draw per message), then
@@ -21,7 +22,7 @@ from __future__ import annotations
 import random
 
 from repro import serde
-from repro.errors import ConfigError
+from repro.errors import ConfigError, ScubaError
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.rng import make_rng
 from repro.scribe.message import Message
@@ -93,10 +94,25 @@ class ScubaIngester:
             [message.payload for message in sampled], errors="none")
         rows = [row for row in decoded if row is not None]
         poison = len(decoded) - len(rows)
+        try:
+            self.table.add_rows(rows)
+        except (ScubaError, TypeError, ValueError):
+            # add_rows converts every time before inserting anything, so
+            # the table is untouched: drop the rows it cannot place.
+            timed = [row for row in rows if self._has_time(row)]
+            poison += len(rows) - len(timed)
+            rows = timed
+            self.table.add_rows(rows)
         if poison:
             self._poison_counter.increment(poison)
-        self.table.add_rows(rows)
         return len(rows)
+
+    def _has_time(self, row) -> bool:
+        try:
+            float(row[self.table.time_column])
+        except (KeyError, TypeError, ValueError):
+            return False
+        return True
 
     def lag_messages(self) -> int:
         return self._reader.lag_messages()

@@ -5,35 +5,29 @@ aggregation at query time by reading all of the raw event data"
 (Section 5.2). A :class:`ScubaQuery` is a time range, optional filters,
 optional group-by columns, and aggregations.
 
-Three execution engines share one semantics (property-tested identical):
+Two engines share one semantics (property-tested identical):
 
-- ``engine="rows"`` — the paper-faithful baseline: scan every raw row in
-  range as a dict, one CPU unit per row examined. This is the currency
-  the Section 5.2 dashboard-migration experiment compares against Puma's
-  write-time cost.
-- ``engine="columnar"`` — interpreted vectorized execution over the
-  table's sealed segments: group-by runs on dictionary codes, filters
-  are evaluated once per dictionary entry and projected through the code
-  arrays as selection masks, and count/sum/avg/min/max fold whole column
-  slices through the shared columnar kernels in
-  :mod:`repro.core.kernels`. Per-segment partial aggregates and closed
-  time-series buckets are monoid states, so repeated dashboard refreshes
-  over ``shifted()`` windows reuse them through the table's
-  :class:`~repro.scuba.cache.ScubaQueryCache` instead of rescanning.
 - ``engine="compiled"`` (default) — the query *shape* is lowered once
   into an immutable :class:`~repro.scuba.compiler.ScubaPlan` (cached per
-  table) whose fused per-segment programs skip the interpreter's
-  per-segment re-derivation, evaluate float filters as inline
-  comparators, and refute whole segments against zone maps before any
-  scan. Plans produce states identical to the interpreted engine, so
-  both engines share the same cached partials; queries whose shape
-  cannot be lowered (opaque ``where``, unhashable filter operands) fall
-  back to interpreted columnar execution transparently.
+  table) whose fused per-segment programs run over the table's sealed
+  segments: group-by runs on dictionary codes, float filters are inline
+  comparators, whole segments are refuted against zone maps before any
+  scan, and count/sum/avg/min/max fold whole column slices through the
+  shared columnar kernels in :mod:`repro.core.kernels`. Per-segment
+  partial aggregates and closed time-series buckets are monoid states,
+  so repeated dashboard refreshes over ``shifted()`` windows reuse them
+  through the table's :class:`~repro.scuba.cache.ScubaQueryCache`
+  instead of rescanning. The mutable tail is folded row by row.
+- ``engine="rows"`` — the paper-faithful baseline and the oracle: scan
+  every raw row in range as a dict, one CPU unit per row examined. This
+  is the currency the Section 5.2 dashboard-migration experiment
+  compares against Puma's write-time cost.
 
 Filters come in two shapes: declarative :class:`ColumnFilter` predicates
-(vectorizable, participate in the cache's query shape) and an opaque
-``where`` callable (always evaluated per materialized row, and disables
-caching because its identity cannot be part of a shape key).
+(vectorizable, participate in the plan and cache shape) and an opaque
+``where`` callable (evaluated per materialized row after the column
+filters, and disables result caching because its identity cannot be
+part of a shape key).
 
 Queries carry a ``limit`` defaulting to 7: "Most Scuba queries have a
 limit of 7: it only makes sense to visualize up to 7 lines in a chart."
@@ -42,20 +36,19 @@ limit of 7: it only makes sense to visualize up to 7 lines in a chart."
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 from typing import Any, Callable
 
 from repro.errors import ScubaError
-from repro.puma.functions import (
-    AggregateFunction,
-    get_aggregate,
-    get_columnar_kernel,
-)
+from repro.puma.functions import AggregateFunction, get_aggregate
 from repro.runtime.metrics import MetricsRegistry
-from repro.scuba.compiler import ScubaPlan, generic_fold
+from repro.scuba.compiler import ScubaPlan
 from repro.scuba.filters import ColumnFilter  # noqa: F401  (re-export —
 # ColumnFilter's historical import path; it moved to repro.scuba.filters
 # so the compiler can lower predicates without a circular import)
 from repro.scuba.table import Row, ScubaTable
+
+_ENGINES = ("compiled", "rows")
 
 
 @dataclass(frozen=True)
@@ -82,8 +75,13 @@ class ScubaQuery:
     bucket_seconds: float | None = None
     metrics: MetricsRegistry = field(default_factory=MetricsRegistry)
     filters: tuple[ColumnFilter, ...] = ()
-    engine: str = "compiled"  # "compiled" | "columnar" | "rows"
+    engine: str = "compiled"  # "compiled" | "rows"
     use_cache: bool = True
+
+    def __post_init__(self) -> None:
+        if self.engine not in _ENGINES:
+            raise ScubaError(f"unknown Scuba engine {self.engine!r}; "
+                             f"expected one of {_ENGINES}")
 
     def shifted(self, delta: float) -> "ScubaQuery":
         """The same query over a slid time window (dashboard refresh)."""
@@ -99,7 +97,7 @@ class ScubaQuery:
         if self.engine == "rows":
             states = self._run_rows(function)
         else:
-            states = self._run_columnar(function, self._plan())
+            states = self._run_compiled(function, self._plan())
         results = [
             {**{c: g for c, g in zip(self.group_by, group)},
              "value": function.result(state)}
@@ -121,14 +119,14 @@ class ScubaQuery:
         if self.engine == "rows":
             states = self._run_rows_time_series(function)
         else:
-            states = self._run_columnar_time_series(function, self._plan())
+            states = self._run_compiled_time_series(function, self._plan())
         return sorted(
             (TimeSeriesPoint(bucket, group, function.result(state))
              for (bucket, group), state in states.items()),
             key=lambda p: (p.bucket_start, repr(p.group)),
         )
 
-    # -- the paper-faithful row-scan engine --------------------------------------
+    # -- the per-row fold: the row-scan engine and the mutable tail -------------
 
     def _row_passes(self, row: Row) -> bool:
         for column_filter in self.filters:
@@ -136,12 +134,11 @@ class ScubaQuery:
                 return False
         return self.where is None or bool(self.where(row))
 
-    def _run_rows(self, function: AggregateFunction) -> dict[tuple, Any]:
-        states: dict[tuple, Any] = {}
-        scanned = 0
+    def _fold_rows(self, rows: list[Row], states: dict[tuple, Any],
+                   function: AggregateFunction) -> int:
+        """Fold ``rows`` into per-group ``states``; returns rows scanned."""
         value_column = self.value_column
-        for row in self.table.rows_between(self.start, self.end):
-            scanned += 1
+        for row in rows:
             if not self._row_passes(row):
                 continue
             group = tuple(row.get(c) for c in self.group_by)
@@ -150,66 +147,61 @@ class ScubaQuery:
                 state = function.create()
             value = row.get(value_column) if value_column is not None else 1
             states[group] = function.update(state, value)
-        self._charge(scanned)
+        return len(rows)
+
+    def _run_rows(self, function: AggregateFunction) -> dict[tuple, Any]:
+        states: dict[tuple, Any] = {}
+        self._charge(self._fold_rows(
+            self.table.rows_between(self.start, self.end), states, function))
         return states
 
     def _run_rows_time_series(
             self, function: AggregateFunction) -> dict[tuple, Any]:
-        states: dict[tuple[float, tuple], Any] = {}
-        scanned = 0
+        rows = self.table.rows_between(self.start, self.end)
         bucket_seconds = self.bucket_seconds
-        value_column = self.value_column
         time_column = self.table.time_column
-        for row in self.table.rows_between(self.start, self.end):
-            scanned += 1
-            if not self._row_passes(row):
-                continue
-            time_value = float(row[time_column])
-            bucket = (time_value // bucket_seconds) * bucket_seconds
-            group = tuple(row.get(c) for c in self.group_by)
-            key = (bucket, group)
-            state = states.get(key)
-            if state is None:
-                state = function.create()
-            value = row.get(value_column) if value_column is not None else 1
-            states[key] = function.update(state, value)
-        self._charge(scanned)
+        states: dict[tuple[float, tuple], Any] = {}
+        # Rows come time-sorted, so each bucket is one contiguous run.
+        for bucket, bucket_rows in groupby(rows, key=lambda row: (
+                float(row[time_column]) // bucket_seconds) * bucket_seconds):
+            bucket_states: dict[tuple, Any] = {}
+            self._fold_rows(list(bucket_rows), bucket_states, function)
+            for group, state in bucket_states.items():
+                states[(bucket, group)] = state
+        self._charge(len(rows))
         return states
 
-    # -- the vectorized columnar engine -------------------------------------------
+    # -- the compiled engine -----------------------------------------------------
 
-    def _plan_shape(self) -> tuple | None:
-        """Hashable identity of this query's fixed part, or None if it
-        cannot be lowered to a plan (opaque ``where``, unhashable filter
-        operand). Independent of ``use_cache``: plans are pure functions
-        of the shape, so compiling with result-caching disabled is
-        still sound — and still fast."""
-        if self.where is not None:
+    def _plan_shape(self) -> tuple:
+        """This query's fixed part: what a plan is lowered from and what
+        cached partials are keyed by. Never includes ``where``."""
+        return (self.aggregation, self.value_column, self.group_by,
+                self.filters)
+
+    def _cache_shape(self) -> tuple | None:
+        """The result-cache key, or None when this query's results must
+        not be cached (caching disabled, opaque ``where``, unhashable
+        filter operand)."""
+        if not self.use_cache or self.where is not None:
             return None
-        shape = (self.aggregation, self.value_column, self.group_by,
-                 self.filters)
+        shape = self._plan_shape()
         try:
             hash(shape)
         except TypeError:
             return None
         return shape
 
-    def _cache_shape(self) -> tuple | None:
-        """The result-cache key: the plan shape, or None when caching
-        is disabled for this query."""
-        if not self.use_cache:
-            return None
-        return self._plan_shape()
-
-    def _plan(self) -> ScubaPlan | None:
-        """The compiled plan for this query, or None to fall back to
-        interpreted columnar execution."""
-        if self.engine != "compiled":
-            return None
+    def _plan(self) -> ScubaPlan:
+        """The compiled plan for this query: from the table's plan cache
+        when the shape is hashable, else lowered uncached. Independent
+        of ``use_cache`` and ``where``: plans are pure functions of the
+        shape."""
         shape = self._plan_shape()
-        if shape is None:
-            return None
-        plan, hit = self.table.query_cache.plans.get(shape)
+        try:
+            plan, hit = self.table.query_cache.plans.get(shape)
+        except TypeError:  # unhashable operand, e.g. a list for "in"
+            return ScubaPlan(shape)
         prefix = f"scuba.{self.table.name}"
         if hit:
             self.metrics.counter(f"{prefix}.plan_cache.hits").increment()
@@ -217,10 +209,11 @@ class ScubaQuery:
             self.metrics.counter(f"{prefix}.plan_cache.misses").increment()
         return plan
 
-    def _run_columnar(self, function: AggregateFunction,
-                      plan: ScubaPlan | None = None) -> dict[tuple, Any]:
+    def _run_compiled(self, function: AggregateFunction,
+                      plan: ScubaPlan) -> dict[tuple, Any]:
         shape = self._cache_shape()
         cache = self.table.query_cache
+        where = self.where
         totals: dict[tuple, Any] = {}
         scanned = 0
         cached_rows = 0
@@ -228,7 +221,7 @@ class ScubaQuery:
         segments_pruned = rows_pruned = 0
         for segment, lo, hi, full in self.table.segments_overlapping(
                 self.start, self.end):
-            if plan is not None and plan.prunes(segment):
+            if plan.prunes(segment):
                 # The zone maps prove no row of this segment passes the
                 # filters, so its partial is {}: nothing to merge, and
                 # nothing worth caching (replacement = fresh seg_id).
@@ -238,91 +231,32 @@ class ScubaQuery:
             if shape is not None and full:
                 partial = cache.get_run_partial(shape, segment.seg_id)
                 if partial is None:
-                    partial = (plan.segment_states(segment, 0, segment.length)
-                               if plan is not None else
-                               self._segment_states(segment, 0,
-                                                    segment.length, function))
+                    partial = plan.segment_states(segment, 0, segment.length)
                     cache.put_run_partial(shape, segment.seg_id, partial)
                     scanned += segment.length
                     misses += 1
                 else:
                     cached_rows += segment.length
                     hits += 1
-                _merge_states(totals, partial, function)
             else:
-                partial = (plan.segment_states(segment, lo, hi)
-                           if plan is not None else
-                           self._segment_states(segment, lo, hi, function))
+                partial = plan.segment_states(segment, lo, hi, where)
                 scanned += hi - lo
-                _merge_states(totals, partial, function)
-        scanned += self._fold_tail(totals, function)
+            _merge_states(totals, partial, function)
+        scanned += self._fold_rows(
+            self.table.tail_between(self.start, self.end), totals, function)
         self._charge(scanned, cached_rows=cached_rows, hits=hits,
                      misses=misses, segments_pruned=segments_pruned,
                      rows_pruned=rows_pruned)
         return totals
 
-    def _fold_tail(self, totals: dict[tuple, Any],
-                   function: AggregateFunction) -> int:
-        """Per-row fold over the mutable tail slice; returns rows scanned."""
-        rows = self.table.tail_between(self.start, self.end)
-        value_column = self.value_column
-        for row in rows:
-            if not self._row_passes(row):
-                continue
-            group = tuple(row.get(c) for c in self.group_by)
-            state = totals.get(group)
-            if state is None:
-                state = function.create()
-            value = row.get(value_column) if value_column is not None else 1
-            totals[group] = function.update(state, value)
-        return len(rows)
-
-    def _segment_states(self, segment, lo: int, hi: int,
-                        function: AggregateFunction) -> dict[tuple, Any]:
-        """Vectorized fold of one segment slice into per-group states."""
-        mask: list[bool] | None = None
-        for column_filter in self.filters:
-            step = segment.filter_mask(column_filter.column,
-                                       column_filter.passes, lo, hi)
-            mask = step if mask is None else [
-                a and b for a, b in zip(mask, step)]
-        if self.where is not None:
-            rows = segment.rows(lo, hi)
-            step = [bool(self.where(row)) for row in rows]
-            mask = step if mask is None else [
-                a and b for a, b in zip(mask, step)]
-
-        if self.group_by:
-            codes, groups = segment.group_codes(self.group_by, lo, hi)
-        else:
-            codes, groups = None, [()]
-        values = (segment.values(self.value_column, lo, hi)
-                  if self.value_column is not None else None)
-        n = hi - lo
-        if mask is not None:
-            if codes is not None:
-                codes = [c for c, keep in zip(codes, mask) if keep]
-            if values is not None:
-                values = [v for v, keep in zip(values, mask) if keep]
-            n = (len(codes) if codes is not None
-                 else len(values) if values is not None
-                 else sum(mask))
-
-        kernel = get_columnar_kernel(self.aggregation)
-        if kernel is not None:
-            coded = kernel.fold(codes, values, n)
-        else:
-            coded = generic_fold(function, codes, values, n)
-        return {groups[code]: state for code, state in coded.items()}
-
-    def _run_columnar_time_series(
-            self, function: AggregateFunction,
-            plan: ScubaPlan | None = None) -> dict[tuple, Any]:
+    def _run_compiled_time_series(self, function: AggregateFunction,
+                                  plan: ScubaPlan) -> dict[tuple, Any]:
         bucket_seconds = self.bucket_seconds
         shape = self._cache_shape()
         if shape is not None:
             shape = shape + (bucket_seconds,)
         cache = self.table.query_cache
+        where = self.where
         live_ids = self.table.live_segment_ids()
         sealed_high = self.table.sealed_high()
         states: dict[tuple[float, tuple], Any] = {}
@@ -361,17 +295,15 @@ class ScubaQuery:
                 # depends on its contents, and replacement (a deep
                 # insert that might add a passing row) must invalidate.
                 seg_ids.add(segment.seg_id)
-                if plan is not None and plan.prunes(segment):
+                if plan.prunes(segment):
                     segments_pruned += 1
                     rows_pruned += seg_hi - seg_lo
                     continue
-                partial = (plan.segment_states(segment, seg_lo, seg_hi)
-                           if plan is not None else
-                           self._segment_states(segment, seg_lo, seg_hi,
-                                                function))
+                partial = plan.segment_states(segment, seg_lo, seg_hi, where)
                 scanned += seg_hi - seg_lo
                 _merge_states(bucket_states, partial, function)
-            scanned += self._fold_tail_bucket(bucket_states, function, lo, hi)
+            scanned += self._fold_rows(self.table.tail_between(lo, hi),
+                                       bucket_states, function)
             if closed:
                 cache.put_bucket(shape, bucket, frozenset(seg_ids),
                                  bucket_states)
@@ -383,22 +315,6 @@ class ScubaQuery:
                      misses=misses, segments_pruned=segments_pruned,
                      rows_pruned=rows_pruned)
         return states
-
-    def _fold_tail_bucket(self, totals: dict[tuple, Any],
-                          function: AggregateFunction, start: float,
-                          end: float) -> int:
-        rows = self.table.tail_between(start, end)
-        value_column = self.value_column
-        for row in rows:
-            if not self._row_passes(row):
-                continue
-            group = tuple(row.get(c) for c in self.group_by)
-            state = totals.get(group)
-            if state is None:
-                state = function.create()
-            value = row.get(value_column) if value_column is not None else 1
-            totals[group] = function.update(state, value)
-        return len(rows)
 
     # -- accounting ------------------------------------------------------------
 

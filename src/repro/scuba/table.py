@@ -19,9 +19,9 @@ Invariants:
 - ``trim`` drops whole expired segments and slices the boundary segment
   into a new ``seg_id``.
 
-``columnar=False`` keeps every row in the tail forever — byte-for-byte
-the seed's behavior — and is the paper-faithful baseline the Section 5.2
-experiment charges one CPU unit per raw row against.
+A ``segment_rows`` larger than the stream never seals on its own: the
+whole table stays a row-dict tail, the paper-faithful layout the
+Section 5.2 experiment charges one CPU unit per raw row against.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ class ScubaTable:
 
     def __init__(self, name: str, time_column: str = "event_time",
                  retention_seconds: float = 7 * 24 * 3600.0,
-                 columnar: bool = True, segment_rows: int = 2048) -> None:
+                 segment_rows: int = 2048) -> None:
         if retention_seconds <= 0:
             raise ScubaError("retention must be positive")
         if segment_rows < 1:
@@ -57,14 +57,13 @@ class ScubaTable:
         self.name = name
         self.time_column = time_column
         self.retention_seconds = retention_seconds
-        self.columnar = columnar
         self.segment_rows = segment_rows
         self._segments: list[Segment] = []
         self._seg_maxes: list[float] = []  # per-segment max time, sorted
         self._live_seg_ids: set[int] = set()
         self._sealed_rows = 0
         self._next_seg_id = 0
-        self._times: list[float] = []  # the tail (all rows if not columnar)
+        self._times: list[float] = []  # the tail
         self._rows: list[Row] = []
         self.query_cache = ScubaQueryCache()
 
@@ -141,8 +140,6 @@ class ScubaTable:
     def _maybe_seal(self) -> None:
         # Keep a full segment's worth of recent rows mutable so ordinary
         # out-of-order arrivals stay cheap bisect inserts.
-        if not self.columnar:
-            return
         while len(self._times) >= 2 * self.segment_rows:
             self._seal_prefix(self.segment_rows)
 
@@ -153,7 +150,7 @@ class ScubaTable:
         table vectorizable/cacheable immediately instead of waiting for
         the tail to fill.
         """
-        if not self.columnar or not self._times:
+        if not self._times:
             return 0
         count = len(self._times)
         self._seal_prefix(count)

@@ -22,9 +22,10 @@ def monotonic_rows(n, start=0.0):
 
 
 def all_engines_agree(table, **kwargs):
+    # Compiled twice: the second run is served from cached partials.
     results = [
         ScubaQuery(table, engine=engine, **kwargs).run()
-        for engine in ("rows", "columnar", "compiled")
+        for engine in ("rows", "compiled", "compiled")
     ]
     assert results[0] == results[1] == results[2]
     return results[0]
@@ -84,7 +85,7 @@ class TestMissingColumnSemantics:
                            engine=engine,
                            filters=(ColumnFilter("region", op, operand),)
                            ).run_time_series()
-                for engine in ("rows", "columnar", "compiled")
+                for engine in ("rows", "compiled", "compiled")
             ]
             assert points[0] == points[1] == points[2], (op, operand)
         # And the negative op genuinely counts the region-less buckets.
@@ -132,14 +133,20 @@ class TestPlanCache:
         # ... while the result cache stays genuinely empty.
         assert len(table.query_cache) == 0
 
-    def test_opaque_where_falls_back_to_interpreter(self):
+    def test_opaque_where_uses_cached_plan_and_caches_no_partials(self):
         table = sealed_table(monotonic_rows(64))
-        query = ScubaQuery(table, 0.0, 64.0, group_by=("page",),
-                           engine="compiled",
+        # A tail whose values (0..3) pass the where: folded per row.
+        table.add_rows(monotonic_rows(4, start=64.0))
+        query = ScubaQuery(table, 0.0, 68.0, group_by=("page",),
+                           bucket_seconds=16.0, engine="compiled",
                            where=lambda row: row["value"] < 10.0)
-        assert {r["page"]: r["value"] for r in query.run()} == \
-               {"p0": 4, "p1": 3, "p2": 3}
-        assert table.query_cache.plans.stats()["misses"] == 0
+        for _ in range(2):
+            assert {r["page"]: r["value"] for r in query.run()} == \
+                   {"p0": 6, "p1": 4, "p2": 4}
+            assert sum(p.value for p in query.run_time_series()) == 14
+        assert table.query_cache.plans.stats() == \
+            {"hits": 3, "misses": 1, "size": 1}
+        assert len(table.query_cache) == 0
 
     def test_clear_drops_plans_with_partials(self):
         table = sealed_table(monotonic_rows(64))
@@ -246,6 +253,26 @@ class TestZonePruning:
 
 
 class TestZoneMaps:
+    def test_nan_float_zone_claims_no_range(self):
+        segment = Segment.seal(0, [0.0, 1.0], [{"v": float("nan")},
+                                               {"v": 5.0}])
+        zone = segment.zone("v")
+        assert zone.min_value is None and zone.max_value is None
+        assert _zone_may_match(ColumnFilter("v", ">", 1.0), zone)
+
+    def test_nan_led_segment_is_not_pruned(self):
+        nan = float("nan")
+        rows = [{"event_time": float(i), "v": v}
+                for i, v in enumerate([nan, 5.0, 6.0, 7.0] * 2)]
+        rows.append({"event_time": 8.0, "v": nan, "k": "x"})  # dict column
+        table = sealed_table(rows, segment_rows=4)
+        for op in (">", ">=", "<", "<="):
+            all_engines_agree(table, start=0.0, end=10.0,
+                              filters=(ColumnFilter("v", op, 5.5),))
+        assert ScubaQuery(table, 0.0, 10.0, engine="compiled",
+                          filters=(ColumnFilter("v", ">", 1.0),)
+                          ).run() == [{"value": 6}]
+
     def test_float_zone_has_min_max(self):
         segment = Segment.seal(0, [0.0, 1.0, 2.0],
                                [{"v": 5.0}, {"v": -1.5}, {"v": 3.0}])

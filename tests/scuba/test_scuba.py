@@ -106,6 +106,11 @@ class TestScubaQuery:
         with pytest.raises(ScubaError):
             ScubaQuery(loaded_table(), 5.0, 5.0).run()
 
+    def test_unknown_engine_rejected(self):
+        for engine in ("columnar", "compiledd", ""):
+            with pytest.raises(ScubaError):
+                ScubaQuery(loaded_table(), 0.0, 1.0, engine=engine)
+
 
 class TestScubaIngester:
     def test_full_rate_ingests_everything(self, scribe):
@@ -177,6 +182,21 @@ class TestScubaIngester:
         assert metrics.gauge(f"{name}.ingest_lag").value == 0
         assert metrics.counter(f"{name}.rows").value == 30
 
+    def test_row_without_time_is_poison_not_a_wedge(self, scribe):
+        """One row lacking a usable time drops alone; its batch lands."""
+        scribe.create_category("raw", 1)
+        metrics = MetricsRegistry()
+        table = ScubaTable("t")
+        ingester = ScubaIngester(scribe, "raw", table, metrics=metrics)
+        for record in ({"event_time": 1}, {"a": 2}, {"event_time": None},
+                       {"event_time": "soon"}, {"event_time": 3}):
+            scribe.write_record("raw", record)
+        assert ingester.pump(1000) == 2
+        assert [r["event_time"] for r in table.rows_between(0.0, 10.0)] == \
+            [1, 3]
+        assert ingester.lag_messages() == 0
+        assert metrics.counter(f"{ingester.name}.poison").value == 3
+
     def test_rows_per_sec_on_wall_clock(self):
         """Under a real clock (the production-style default) the rate
         gauge reports rows over elapsed seconds."""
@@ -213,7 +233,7 @@ class TestResultOrdering:
         rows = ScubaQuery(table, 0.0, 100.0, group_by=("k",),
                           engine="rows").run()
         cols = ScubaQuery(table, 0.0, 100.0, group_by=("k",),
-                          engine="columnar").run()
+                          engine="compiled").run()
         assert rows == cols
 
     def test_sortable_handles_mixed_type_aggregates(self):
@@ -279,12 +299,13 @@ class TestColumnarStorage:
         assert table.min_time() == 15.0
         assert table.row_count() == 17
 
-    def test_non_columnar_table_never_seals(self):
-        table = ScubaTable("t", columnar=False, segment_rows=2)
+    def test_segment_rows_above_input_never_seals(self):
+        """The all-tail layout the row-scan baseline is charged against."""
+        table = ScubaTable("t", segment_rows=50)
         for i in range(50):
             table.add({"event_time": float(i)})
         assert table.segment_count() == 0
-        assert table.seal_tail() == 0
+        assert len(table.tail_between(0.0, 100.0)) == 50
 
 
 class TestColumnFilter:
@@ -306,7 +327,7 @@ class TestColumnFilter:
         table.add({"event_time": 1.0})
         table.add({"event_time": 2.0, "v": 5})
         table.seal_tail()
-        for engine in ("rows", "columnar"):
+        for engine in ("rows", "compiled"):
             [row] = ScubaQuery(table, 0.0, 10.0,
                                filters=(ColumnFilter("v", ">=", 0),),
                                engine=engine).run()
