@@ -25,6 +25,8 @@ import time
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
+# The repo root, for the message-at-a-time Stylus oracle under tests/.
+sys.path.insert(1, str(Path(__file__).resolve().parent.parent))
 
 from perf_harness import (  # noqa: E402  (path bootstrap above)
     BASELINE_PATH,
@@ -68,6 +70,10 @@ from repro.stylus.engine import StylusTask  # noqa: E402
 from repro.stylus.processor import Output, StatelessProcessor  # noqa: E402
 from repro.stylus.windowed import WindowedAggregator  # noqa: E402
 from repro.swift.engine import SwiftApp  # noqa: E402
+
+from tests.property.stylus_message_oracle import (  # noqa: E402
+    MessageOracleStylusTask,
+)
 
 
 class _Passthrough(StatelessProcessor):
@@ -435,7 +441,10 @@ class _NullBatchClient:
 
 
 def bench_swift_pump(n: int, passes: int = 4) -> BenchResult:
-    """Swift delivery loop: segment batches vs one client call per message.
+    """Swift delivery loop: a batch client vs a per-message client.
+
+    Both run the one segment loop; the per-message client is adapted to
+    segments and pays one call per message.
 
     The batched path is almost pure list slicing, so a single drain is
     too fast to time reliably; each measurement drains the stream
@@ -507,24 +516,24 @@ def bench_scuba_ingest(n: int) -> BenchResult:
 
 
 def bench_windowed_agg(n: int) -> BenchResult:
-    """Stylus windowed aggregation: process_batch chunks vs per-event."""
+    """Stylus windowed aggregation: process_batch chunks vs the
+    message-at-a-time oracle loop."""
     scribe = ScribeStore(clock=SimClock())
     scribe.create_category("win_in", num_buckets=1)
     writer = ScribeWriter(scribe, "win_in")
     for i in range(n):
         writer.write_to_bucket(_record(i), 0)
 
-    def run(force_per_message: bool):
+    def run(task_class: type[StylusTask]):
         def go() -> int:
             processor = WindowedAggregator(
                 window_seconds=60.0, operator=CounterMergeOperator(),
                 extract=lambda event: [(event["user"], 1)],
                 sample_size=256)
-            task = StylusTask("bench", scribe, "win_in", 0, processor,
+            task = task_class("bench", scribe, "win_in", 0, processor,
                               checkpoint_policy=CheckpointPolicy(
                                   every_n_events=1000),
                               clock=SimClock())
-            task._force_per_message = force_per_message
             done = 0
             while True:
                 pumped = task.pump(10_000)
@@ -533,8 +542,8 @@ def bench_windowed_agg(n: int) -> BenchResult:
                 done += pumped
         return timed(go)
 
-    single_wall, _ = run(True)
-    batch_wall, ops = run(False)
+    single_wall, _ = run(MessageOracleStylusTask)
+    batch_wall, ops = run(StylusTask)
     return _speedup_result("windowed_agg", single_wall, batch_wall, ops)
 
 

@@ -9,8 +9,10 @@ reproducible and any drift is a real behavior change.
 
 The report deliberately carries **no wall-clock metrics**: the diff in
 ``perf_harness.diff_reports`` only applies rate rules when the keys are
-present, so macro entries are judged purely by the absolute floor rules
-(``_FLOOR_RULES``) — the bars each scenario was accepted at.
+present, so macro entries are judged by the absolute floor rules
+(``_FLOOR_RULES``) — the bars each scenario was accepted at — and by
+``check_regression.py --macro``'s exact match on each scenario's
+``digest``.
 
 Usage::
 

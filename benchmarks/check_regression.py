@@ -16,10 +16,13 @@ Usage::
     python benchmarks/check_regression.py --macro --only hot_key_skew
 
 ``--macro`` switches to the end-to-end scenario pack: it diffs a fresh
-``benchmarks/bench_macro.py`` run against ``BENCH_macro.json``, where
-only the absolute floor rules apply (macro reports carry no wall-clock
-metrics). ``--only`` restricts the macro run to one scenario — the CI
-smoke job runs the cheapest one; floors skip absent benchmarks.
+``benchmarks/bench_macro.py`` run against ``BENCH_macro.json``. The
+absolute floor rules apply (macro reports carry no wall-clock metrics),
+and each scenario's behavior ``digest`` must match the committed one
+exactly — the measures are deterministic, so any drift is a behavior
+change; ``--update`` records a deliberate one. ``--only`` restricts the
+macro run to one scenario — the CI smoke job runs the cheapest one;
+floors and digests skip absent benchmarks.
 
 The same check is available as a pytest marker::
 
@@ -41,6 +44,25 @@ from perf_harness import (  # noqa: E402  (path bootstrap above)
     load_report,
     write_report,
 )
+
+
+def digest_drift(current: dict, baseline: dict) -> list[str]:
+    """Describe every scenario whose digest differs from the baseline's.
+
+    Digests depend on the run's scale, so a report at another scale
+    than the baseline (``--full`` against a quick baseline) has none to
+    compare.
+    """
+    if current.get("quick") != baseline.get("quick"):
+        return []
+    committed = baseline.get("benchmarks", {})
+    return [
+        f"{name}: digest {entry['digest']} != committed "
+        f"{committed.get(name, {}).get('digest')}"
+        for name, entry in sorted(current.get("benchmarks", {}).items())
+        if "digest" in entry
+        and committed.get(name, {}).get("digest") != entry["digest"]
+    ]
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -82,15 +104,22 @@ def main(argv: list[str] | None = None) -> int:
               file=sys.stderr)
         return 2
 
-    regressions = diff_reports(current, load_report(args.baseline),
-                               threshold=args.threshold)
+    baseline = load_report(args.baseline)
+    regressions = diff_reports(current, baseline, threshold=args.threshold)
     if regressions:
         print(f"PERF REGRESSION ({len(regressions)} metric(s), "
               f"bench took {elapsed:.1f}s):", file=sys.stderr)
         for regression in regressions:
             print(f"  {regression.describe()}", file=sys.stderr)
         return 1
-    print(f"perf ok: no regression past {args.threshold:.0%} "
+    drift = digest_drift(current, baseline) if args.macro else []
+    if drift:
+        print(f"BEHAVIOR DRIFT ({len(drift)} scenario(s)):", file=sys.stderr)
+        for line in drift:
+            print(f"  {line}", file=sys.stderr)
+        return 1
+    digests = ", digests match" if args.macro else ""
+    print(f"perf ok: no regression past {args.threshold:.0%}{digests} "
           f"(bench took {elapsed:.1f}s)")
     return 0
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
+from repro import serde
 from repro.errors import HiveError, PartitionNotReady
+from repro.runtime.metrics import MetricsRegistry
 from repro.scribe.reader import CategoryReader
 from repro.scribe.store import ScribeStore
 
@@ -104,6 +106,7 @@ class HiveWarehouse:
     def __init__(self, scribe: ScribeStore) -> None:
         self.scribe = scribe
         self.name = "hive"
+        self.metrics = MetricsRegistry()
         self._tables: dict[str, HiveTable] = {}
         self._tails: list[tuple[CategoryReader, HiveTable]] = []
 
@@ -129,12 +132,30 @@ class HiveWarehouse:
         self._tails.append((CategoryReader(self.scribe, category), table))
 
     def pump(self, max_messages: int = 1000) -> int:
-        """Advance ingestion tails; returns rows ingested."""
+        """Advance ingestion tails; returns rows ingested.
+
+        An undecodable payload, or a row its table rejects (no time
+        column, or a day that already landed), is counted under
+        ``hive.<table>.poison`` and skipped; the rest of its batch lands.
+        """
         ingested = 0
         for reader, table in self._tails:
-            for message in reader.read_batch(max_messages):
-                table.append(message.decode())
+            batch = reader.read_batch(max_messages)
+            poison = 0
+            for row in serde.decode_batch([m.payload for m in batch],
+                                          errors="none"):
+                if row is None:
+                    poison += 1
+                    continue
+                try:
+                    table.append(row)
+                except HiveError:
+                    poison += 1
+                    continue
                 ingested += 1
+            if poison:
+                self.metrics.counter(f"hive.{table.name}.poison").increment(
+                    poison)
         return ingested
 
     def land_partitions(self) -> dict[str, list[int]]:

@@ -76,6 +76,7 @@ class LaserTable:
         self._reads_counter = self.metrics.counter(f"laser.{name}.reads")
         self._unavailable_counter = self.metrics.counter(
             f"laser.{name}.unavailable_errors")
+        self._poison_counter = self.metrics.counter(f"laser.{name}.poison")
         self._latched_down = False
         self._slow_factor = 1.0
         self._outages: list[tuple[float, float]] = []
@@ -167,7 +168,12 @@ class LaserTable:
         self._readers.append(CategoryReader(scribe, category))
 
     def pump(self, max_messages: int = 1000) -> int:
-        """Advance the Scribe tails; returns rows ingested."""
+        """Advance the Scribe tails; returns rows ingested.
+
+        An undecodable payload, or a row missing a key column, is
+        counted under ``laser.<name>.poison`` and skipped; the rest of
+        its batch lands.
+        """
         ingested = 0
         for reader in self._readers:
             batch = reader.read_batch(max_messages)
@@ -176,8 +182,14 @@ class LaserTable:
             # One serde pass and one WAL/memtable batch per Scribe batch
             # (deserialization is the ingestion bottleneck — the paper's
             # Figure 9 point).
-            rows = serde.decode_batch([m.payload for m in batch])
+            key_columns = self.key_columns
+            rows = [row for row in serde.decode_batch(
+                        [m.payload for m in batch], errors="none")
+                    if row is not None
+                    and all(column in row for column in key_columns)]
             self.put_rows(rows)
+            if len(rows) < len(batch):
+                self._poison_counter.increment(len(batch) - len(rows))
             ingested += len(rows)
         return ingested
 

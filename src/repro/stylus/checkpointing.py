@@ -76,13 +76,16 @@ class CrashInjector:
             self.crashes_fired += 1
             raise ProcessCrashed(f"{task_name} ({point.value})", now)
 
+    def armed(self, point: CrashPoint, checkpoint_index: int) -> bool:
+        """Whether :meth:`fire` would raise at this point right now."""
+        return (point, checkpoint_index) in self._armed
+
     def armed_count(self) -> int:
         return len(self._armed)
 
 
 class NoCrashes(CrashInjector):
-    """An injector that never fires (the default)."""
+    """An injector that never fires (the default); arming it is a no-op."""
 
-    def fire(self, point: CrashPoint, checkpoint_index: int,
-             task_name: str, now: float) -> None:
+    def arm(self, point: CrashPoint, checkpoint_index: int) -> None:
         return None

@@ -41,7 +41,6 @@ from repro.core.event import Event
 from repro.core.semantics import SemanticsPolicy, StateSemantics
 from repro.core.watermark import WatermarkEstimator
 from repro.errors import CheckpointError, ProcessCrashed, ProcessingError
-from repro.serde import SerdeError
 from repro.runtime.clock import Clock, WallClock
 from repro.runtime.metrics import MetricsRegistry
 from repro.runtime.retry import RETRYABLE, Retrier, RetryPolicy
@@ -134,9 +133,6 @@ class StylusTask:
                                 metrics=registry, scope=scope)
         self._once = Retrier(RetryPolicy.no_retries(), clock=self.clock,
                              metrics=registry, scope=scope)
-        # Test hook: force the per-message decode path even when the
-        # batched fast path would apply (equivalence property tests).
-        self._force_per_message = False
 
         self._reader = ScribeReader(scribe, input_category, bucket)
         self._writer = (ScribeWriter(scribe, output_category)
@@ -216,7 +212,21 @@ class StylusTask:
     # -- the processing loop ------------------------------------------------------
 
     def _pump(self, max_messages: int) -> int:
+        """Process read batches chunk by chunk; return messages consumed.
+
+        A chunk ends at the batch end, at the next count-triggered
+        checkpoint, or after one message when a cost model is attached,
+        the next ``DURING_PROCESSING`` kill point is armed, or a
+        checkpoint is already due: every point where a one-message loop
+        could act, so results and the modeled timeline match it exactly.
+        Without a cost model, time on a ``SimClock`` cannot move
+        mid-pump; on a ``WallClock`` a time trigger that comes due
+        mid-chunk checkpoints at the chunk's end (<= 100 messages later).
+        """
         processed = 0
+        buffered = self.strategy == Strategy.BUFFERED
+        policy = self.checkpoint_policy
+        injector = self.injector
         while processed < max_messages:
             batch = self._reader.read_batch(
                 min(100, max_messages - processed),
@@ -224,94 +234,72 @@ class StylusTask:
             )
             if not batch:
                 break
-            if self._use_batched_decode():
-                # Deserialization is side-effect-free (the overlapped
-                # strategy's defining property), so the whole batch is
-                # decoded up front in one serde pass, then processed
-                # message by message with unchanged checkpoint cadence.
-                events = self._decode_batch(batch)
-                if self._chunk_at_checkpoints():
-                    processed += self._process_chunked(batch, events)
-                    continue
-            else:
-                events = None
-            for index, message in enumerate(batch):
-                self._charge_receive(message)
-                if events is not None:
-                    event = events[index]
-                    if event is not None:
-                        self._route(self._process_event(event))
-                elif self.strategy == Strategy.BUFFERED:
-                    self._raw_buffer.append(message)
+            # Decoding is side-effect-free (the overlapped strategy's
+            # defining property), so the whole batch goes through one
+            # serde pass; its effects are applied chunk by chunk.
+            events = None if buffered else self._decode_batch(batch)
+            total = len(batch)
+            start = 0
+            while start < total:
+                end = self._chunk_end(start, total)
+                chunk = batch[start:end]
+                if self.timeline is not None:  # then the chunk is 1 long
+                    self.timeline.charge("receive",
+                                         self.cost_model.receive_per_event)
+                if buffered:
+                    self._raw_buffer.extend(chunk)
                 else:
-                    self._handle_message(message)
-                self._next_offset = message.offset + 1
-                self._events_since_checkpoint += 1
-                processed += 1
-                self.injector.fire(CrashPoint.DURING_PROCESSING,
-                                   self._checkpoint_index + 1,
-                                   self.name, self._now())
-                if self.checkpoint_policy.due(
-                        self._now(), self._last_checkpoint_at,
-                        self._events_since_checkpoint):
+                    self._apply(chunk, events[start:end])
+                self._next_offset = chunk[-1].offset + 1
+                self._events_since_checkpoint += end - start
+                start = end
+                injector.fire(CrashPoint.DURING_PROCESSING,
+                              self._checkpoint_index + 1,
+                              self.name, self._now())
+                if policy.due(self._now(), self._last_checkpoint_at,
+                              self._events_since_checkpoint):
                     self._checkpoint()
+            processed += total
         self._lag_gauge.set(self.lag_messages())
         return processed
 
-    def _use_batched_decode(self) -> bool:
-        """Whether the up-front batch-decode fast path applies.
-
-        Disabled when a cost model is attached (the modeled timeline
-        charges receive/deserialize in per-message interleaving) or when
-        crashes can be injected (a mid-batch crash must not have decoded
-        — observed watermarks, counted — messages past the crash point).
-        Results are identical either way; the property suite asserts it.
-        """
-        return (self.strategy == Strategy.OVERLAPPED
-                and self.cost_model is None
-                and isinstance(self.injector, NoCrashes)
-                and not self._force_per_message)
-
-    def _chunk_at_checkpoints(self) -> bool:
-        """Whether whole chunks can go to the processor in one call.
-
-        Only an event-count-only checkpoint policy makes checkpoint
-        positions a pure function of the message count, letting the loop
-        split a decoded batch into checkpoint-aligned chunks up front.
-        A time trigger could fire anywhere, so it keeps the per-message
-        cadence. (Callers have already established ``_use_batched_decode``,
-        so no cost model or crash injection is active here.)
-        """
+    def _chunk_end(self, start: int, total: int) -> int:
+        """Where the chunk starting at batch index ``start`` must end."""
         policy = self.checkpoint_policy
-        return (policy.every_n_events is not None
-                and policy.interval_seconds is None)
+        if (self.cost_model is not None
+                or self.injector.armed(CrashPoint.DURING_PROCESSING,
+                                       self._checkpoint_index + 1)
+                or policy.due(self._now(), self._last_checkpoint_at,
+                              self._events_since_checkpoint)):
+            return start + 1
+        if policy.every_n_events is None:
+            return total
+        return min(total, start + policy.every_n_events
+                   - self._events_since_checkpoint)
 
-    def _process_chunked(self, batch: list[Message],
-                         events: list[Event | None]) -> int:
-        """Process a decoded batch in checkpoint-aligned chunks.
-
-        Each chunk ends exactly where the per-message loop would have
-        checkpointed (poison messages count toward the cadence there
-        too), so checkpoint offsets, emission order, and final state are
-        identical — with one processor call and one offset/counter
-        update per chunk instead of per event.
-        """
-        every_n = self.checkpoint_policy.every_n_events
-        index = 0
-        total = len(batch)
-        while index < total:
-            take = min(every_n - self._events_since_checkpoint,
-                       total - index)
-            chunk = [event for event in events[index:index + take]
-                     if event is not None]
-            if chunk:
-                self._route(self._process_events(chunk))
-            index += take
-            self._next_offset = batch[index - 1].offset + 1
-            self._events_since_checkpoint += take
-            if self._events_since_checkpoint >= every_n:
-                self._checkpoint()
-        return total
+    def _apply(self, messages: list[Message],
+               events: list[Event | None]) -> None:
+        """All per-chunk work; ``events[i]`` decodes ``messages[i]``
+        (``None`` marks a poison message: counted, then skipped)."""
+        cost = self.cost_model
+        if cost is not None:
+            # Deserialization is charged for every message, processing
+            # only for the ones that decoded.
+            for event in events:
+                self._charge_cpu(cost.deserialize_per_event)
+                if event is not None:
+                    self._charge_cpu(cost.process_per_event)
+        good = [event for event in events if event is not None]
+        if len(good) < len(events):
+            self._poison_counter.increment(len(events) - len(good))
+        if not good:
+            return
+        self.watermarks.observe_batch([event.event_time for event in good])
+        self._events_counter.increment(len(good))
+        self._bytes_counter.increment(sum(
+            message.size for message, event in zip(messages, events)
+            if event is not None))
+        self._route(self._process_events(good))
 
     def _process_events(self, events: list[Event]) -> list[Output]:
         """Run a chunk through the processor with per-chunk dispatch."""
@@ -338,7 +326,11 @@ class StylusTask:
         return []
 
     def _decode_batch(self, messages: list[Message]) -> list[Event | None]:
-        """Decode a batch in one pass; ``None`` marks a poison message."""
+        """Decode a batch in one pass; ``None`` marks a poison message.
+
+        Pure, so a crash mid-batch has observed nothing past its point:
+        :meth:`_apply` counts and observes each chunk as it runs.
+        """
         records = serde.decode_batch(
             [message.payload for message in messages], errors="none"
         )
@@ -346,66 +338,15 @@ class StylusTask:
         time_field = self.time_field
         events: list[Event | None] = []
         append = events.append
-        times: list[float] = []
-        times_append = times.append
-        poison = 0
-        good_bytes = 0
-        for message, record in zip(messages, records):
+        for record in records:
             if record is None:
-                poison += 1
                 append(None)
                 continue
             try:
-                event = from_record(record, time_field)
+                append(from_record(record, time_field))
             except ProcessingError:
-                poison += 1
                 append(None)
-                continue
-            times_append(event.event_time)
-            good_bytes += message.size
-            append(event)
-        if poison:
-            self._poison_counter.increment(poison)
-        if times:
-            self.watermarks.observe_batch(times)
-            self._events_counter.increment(len(times))
-            self._bytes_counter.increment(good_bytes)
         return events
-
-    def _handle_message(self, message: Message) -> None:
-        try:
-            event = self._decode(message)
-        except (SerdeError, ProcessingError):
-            # A poison message must not wedge the consumer: count it,
-            # skip it, keep draining (hundreds of pipelines cannot page
-            # a human for every malformed log line).
-            self._poison_counter.increment()
-            return
-        outputs = self._process_event(event)
-        self._route(outputs)
-
-    def _decode(self, message: Message) -> Event:
-        self._charge_cpu(self.cost_model.deserialize_per_event
-                         if self.cost_model else 0.0)
-        event = Event.from_message(message, self.time_field)
-        self.watermarks.observe(event.event_time)
-        self._events_counter.increment()
-        self._bytes_counter.increment(message.size)
-        return event
-
-    def _process_event(self, event: Event) -> list[Output]:
-        self._charge_cpu(self.cost_model.process_per_event
-                         if self.cost_model else 0.0)
-        if isinstance(self.processor, StatelessProcessor):
-            return self.processor.process(event)
-        if isinstance(self.processor, StatefulProcessor):
-            return self.processor.process(event, self._state)
-        operator = self.processor.merge_operator()
-        for key, delta in self.processor.extract(event):
-            base = self._partials.get(key)
-            self._partials[key] = (delta if base is None
-                                   else operator.merge(base, delta))
-        return []
 
     def _route(self, outputs: list[Output]) -> None:
         if not outputs:
@@ -557,16 +498,7 @@ class StylusTask:
         if self.timeline is not None:
             # The burst cannot start before receiving finished.
             self.timeline.barrier("receive", "cpu")
-        if (self.cost_model is None and isinstance(self.injector, NoCrashes)
-                and not self._force_per_message):
-            # Same batched serde pass as the overlapped fast path; the
-            # drain is already a burst, so there is nothing to interleave.
-            for event in self._decode_batch(buffered):
-                if event is not None:
-                    self._route(self._process_event(event))
-            return
-        for message in buffered:
-            self._handle_message(message)
+        self._apply(buffered, self._decode_batch(buffered))
 
     # -- failure handling ------------------------------------------------------------------
 
@@ -612,11 +544,6 @@ class StylusTask:
         self.crashed = False
 
     # -- cost accounting ---------------------------------------------------------------------
-
-    def _charge_receive(self, message: Message) -> None:
-        if self.cost_model is None:
-            return
-        self.timeline.charge("receive", self.cost_model.receive_per_event)
 
     def _charge_cpu(self, seconds: float) -> None:
         if self.cost_model is None or seconds == 0.0:

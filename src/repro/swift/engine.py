@@ -9,7 +9,7 @@ everything since the last checkpoint again — at-least-once delivery.
 
 from __future__ import annotations
 
-from typing import Callable, Protocol
+from typing import Protocol
 
 from repro.errors import ConfigError, ProcessCrashed
 from repro.scribe.checkpoints import Checkpoint, CheckpointStore
@@ -27,14 +27,24 @@ class SwiftClient(Protocol):
 class SwiftBatchClient(Protocol):
     """A batch-capable client: one call per delivery segment.
 
-    A client exposing ``on_batch`` receives whole message lists instead
-    of one call per message, removing the per-message call/bookkeeping
-    overhead from the delivery loop. Segments are split exactly at the
-    offsets where the per-message path would checkpoint, so checkpoint
-    positions are byte-identical between the two client styles.
+    Swift delivers segments that end exactly at its checkpoint offsets.
+    A client exposing ``on_batch`` receives each segment whole; a plain
+    :class:`SwiftClient` is adapted to receive it one message at a time.
     """
 
     def on_batch(self, messages: list[Message]) -> None: ...
+
+
+class _PerMessageClient:
+    """Adapts a one-call-per-message :class:`SwiftClient` to segments."""
+
+    def __init__(self, client: SwiftClient) -> None:
+        self.client = client
+
+    def on_batch(self, messages: list[Message]) -> None:
+        client = self.client
+        for message in messages:
+            client(message)
 
 
 class SwiftApp:  # lint: effect[state=at_least_once, output=at_least_once]
@@ -77,131 +87,63 @@ class SwiftApp:  # lint: effect[state=at_least_once, output=at_least_once]
     def pump(self, max_messages: int = 1000) -> int:
         """Deliver up to ``max_messages`` to the client; return count.
 
-        A client exception is treated as the app crashing mid-stream:
-        the offset is *not* advanced past undelivered work, so a restart
-        replays from the last checkpoint.
+        Messages go to the client in segments that end exactly where a
+        checkpoint threshold is crossed; the offset is saved after each
+        such segment. A client exception is treated as the app crashing
+        mid-stream: the torn segment counts as undelivered and its
+        offset is never saved, so a restart replays from the last
+        checkpoint.
         """
         if self.crashed:
             return 0
-        delivered = 0
+        # Resolved per pump, not at construction: callers may swap
+        # ``client`` between pumps (e.g. a replacement after a crash).
         on_batch = getattr(self.client, "on_batch", None)
+        if on_batch is None:
+            on_batch = _PerMessageClient(self.client).on_batch
+        delivered = 0
         while delivered < max_messages:
             batch = self._reader.read_batch(
                 min(1000, max_messages - delivered)
             )
             if not batch:
                 break
-            if on_batch is not None:
-                count = self._deliver_batched(batch, on_batch)
-            else:
-                count = self._deliver_per_message(batch)
-            delivered += count
-            if self.crashed:
-                break
-        return delivered
-
-    def _deliver_per_message(self, batch: list[Message]) -> int:
-        delivered = 0
-        client = self.client
-        for message in batch:
-            try:
-                client(message)  # lint: effect[publish]
-            except ProcessCrashed:
-                self.crashed = True
-                return delivered
-            delivered += 1
-            self._since_messages += 1
-            self._since_bytes += message.size
-            if self._checkpoint_due():
-                self._save_checkpoint(message.offset + 1)
-        return delivered
-
-    def _deliver_batched(self, batch: list[Message], on_batch) -> int:
-        """Deliver whole segments to a :class:`SwiftBatchClient`.
-
-        Segment boundaries are computed with a cheap integer walk at the
-        exact messages where the per-message path would have crossed a
-        checkpoint threshold, so the saved offsets are identical. A
-        crash inside ``on_batch`` counts the whole segment undelivered
-        (its offset is never checkpointed, so restart replays it).
-        """
-        if self.every_bytes is None:
-            return self._deliver_segments_by_count(batch, on_batch)
-        delivered = 0
-        start = 0
-        since_messages = self._since_messages
-        since_bytes = self._since_bytes
-        every_messages = self.every_messages
-        every_bytes = self.every_bytes
-        for index, message in enumerate(batch):
-            since_messages += 1
-            since_bytes += message.size
-            if ((every_messages is not None
-                 and since_messages >= every_messages)
-                    or (every_bytes is not None
-                        and since_bytes >= every_bytes)):
-                segment = batch[start:index + 1]
+            start = 0
+            while start < len(batch):
+                end = self._segment_end(batch, start)
+                segment = batch[start:end]
                 try:
                     on_batch(segment)  # lint: effect[publish]
                 except ProcessCrashed:
                     self.crashed = True
                     return delivered
-                delivered += len(segment)
-                self._since_messages = since_messages
-                self._since_bytes = since_bytes
-                self._save_checkpoint(message.offset + 1)
-                since_messages = 0
-                since_bytes = 0
-                start = index + 1
-        if start < len(batch):
-            segment = batch[start:]
-            try:
-                on_batch(segment)  # lint: effect[publish]
-            except ProcessCrashed:
-                self.crashed = True
-                return delivered
-            delivered += len(segment)
-            self._since_messages = since_messages
-            self._since_bytes = since_bytes
+                delivered += end - start
+                self._since_messages += end - start
+                if self.every_bytes is not None:
+                    self._since_bytes += sum(m.size for m in segment)
+                if self._checkpoint_due():
+                    self._save_checkpoint(segment[-1].offset + 1)
+                start = end
         return delivered
 
-    def _deliver_segments_by_count(self, batch: list[Message],
-                                   on_batch) -> int:
-        """Count-threshold-only delivery: boundaries by pure arithmetic.
-
-        With no byte threshold configured, checkpoint positions depend
-        only on the message count, so segment boundaries fall at fixed
-        strides — no per-message walk at all, just slices. Byte
-        accounting is skipped too: ``_since_bytes`` can never trigger
-        anything when ``every_bytes`` is None, and every checkpoint
-        resets it regardless.
-        """
-        every = self.every_messages
-        delivered = 0
-        start = 0
-        total = len(batch)
-        boundary = every - self._since_messages
-        while boundary <= total:
-            segment = batch[start:boundary]
-            try:
-                on_batch(segment)  # lint: effect[publish]
-            except ProcessCrashed:
-                self.crashed = True
-                return delivered
-            delivered += len(segment)
-            self._save_checkpoint(batch[boundary - 1].offset + 1)
-            start = boundary
-            boundary += every
-        if start < total:
-            segment = batch[start:]
-            try:
-                on_batch(segment)  # lint: effect[publish]
-            except ProcessCrashed:
-                self.crashed = True
-                return delivered
-            delivered += len(segment)
-            self._since_messages += total - start
-        return delivered
+    def _segment_end(self, batch: list[Message], start: int) -> int:
+        """End of the segment at ``batch[start]``: just past the message
+        crossing a checkpoint threshold, or the batch end. Arithmetic for
+        a message trigger alone; a byte trigger walks message sizes."""
+        since_messages = self._since_messages
+        every_messages = self.every_messages
+        if self.every_bytes is None:
+            return min(len(batch),
+                       start + max(1, every_messages - since_messages))
+        since_bytes = self._since_bytes
+        for index in range(start, len(batch)):
+            since_messages += 1
+            since_bytes += batch[index].size
+            if ((every_messages is not None
+                 and since_messages >= every_messages)
+                    or since_bytes >= self.every_bytes):
+                return index + 1
+        return len(batch)
 
     def _checkpoint_due(self) -> bool:
         if (self.every_messages is not None
@@ -242,20 +184,3 @@ class SwiftApp:  # lint: effect[state=at_least_once, output=at_least_once]
     @property
     def position(self) -> int:
         return self._reader.position
-
-
-def crash_after(n: int, inner: Callable[[Message], None],
-                scribe: ScribeStore) -> SwiftClient:
-    """Wrap a client so it crashes after ``n`` successful messages.
-
-    Test/demo helper: raises :class:`ProcessCrashed` on message ``n+1``.
-    """
-    remaining = [n]
-
-    def client(message: Message) -> None:
-        if remaining[0] <= 0:
-            raise ProcessCrashed("swift-client", scribe.clock.now())
-        inner(message)
-        remaining[0] -= 1
-
-    return client

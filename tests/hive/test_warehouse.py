@@ -74,6 +74,20 @@ class TestWarehouse:
         assert warehouse.pump() == 10
         assert warehouse.table("raw_events").row_count() == 10
 
+    def test_ingest_skips_and_counts_bad_payloads(self, scribe):
+        """One undecodable payload or rejected row costs only itself."""
+        scribe.create_category("raw", 1)
+        warehouse = HiveWarehouse(scribe)
+        warehouse.ingest_from_scribe("raw", "raw_events")
+        scribe.write_record("raw", {"event_time": 1.0})
+        scribe.write("raw", b"\xff{not json")
+        scribe.write_record("raw", {"seq": 7})  # no time column
+        scribe.write_record("raw", {"event_time": 2.0})
+        assert warehouse.pump() == 2
+        assert warehouse.table("raw_events").row_count() == 2
+        poison = warehouse.metrics.counter("hive.raw_events.poison")
+        assert poison.value == 2
+
     def test_land_partitions_runs_midnight(self, scribe, clock):
         scribe.create_category("raw", 1)
         warehouse = HiveWarehouse(scribe)

@@ -78,6 +78,20 @@ class TestSources:
         assert table.pump() == 1
         assert table.get("movies") == {"score": 9.5}
 
+    def test_tail_skips_and_counts_bad_payloads(self, scribe, clock):
+        """One undecodable payload or keyless row costs only itself."""
+        scribe.create_category("scores", 1)
+        table = LaserTable("scores", ["topic"], ["score"], clock=clock)
+        table.tail_scribe(scribe, "scores")
+        scribe.write_record("scores", {"topic": "movies", "score": 9.5})
+        scribe.write("scores", b"\xff{not json")
+        scribe.write_record("scores", {"score": 1.0})  # no key column
+        scribe.write_record("scores", {"topic": "books", "score": 7.0})
+        assert table.pump() == 2
+        assert table.get("movies") == {"score": 9.5}
+        assert table.get("books") == {"score": 7.0}
+        assert table.metrics.counter("laser.scores.poison").value == 2
+
     def test_load_from_hive_daily(self, clock):
         """Use case 2: a Hive result loaded for lookup joins."""
         hive_table = HiveTable("dims")

@@ -1,15 +1,18 @@
-"""Property tests: batched execution paths match the per-message paths.
+"""Property tests: batched execution paths match per-message oracles.
 
-Batch-at-a-time is the ecosystem's default execution mode; every batched
+Batch-at-a-time is the ecosystem's only execution mode; every batched
 path (Stylus, Puma, Swift, Scuba) must be a pure optimization —
 byte-identical output streams, identical checkpoint offsets, identical
 counters — under every semantics policy, with poison messages mixed in.
-Crash injection relaxes this to *semantic* equivalence: after a restart
-and a full drain, the recovered durable state and delivered sets must
-match, even though the batched path crashes at a coarser point.
-Puma and Scuba ingest have no per-message path in production; their
-references are ``RowOraclePumaApp`` (``puma_row_oracle.py``) and the
-per-message loop in ``_run_scuba``.
+None of them keeps a per-message path in production; the references
+live here: ``MessageOracleStylusTask`` (``stylus_message_oracle.py``),
+``PerMessageOracleSwiftApp`` (``swift_message_oracle.py``),
+``RowOraclePumaApp`` (``puma_row_oracle.py``) and the per-message loop
+in ``_run_scuba``. Stylus and a per-message Swift client stay exact
+under crash injection too (Stylus down to the modeled timeline); a
+Puma or Swift batch crash lands at a coarser point, which relaxes
+those comparisons to *semantic* equivalence: after a restart and a full
+drain, the recovered durable state and delivered sets must match.
 
 Incremental leveled compaction gets the same treatment: bounded
 ``compact_step`` sequences (manual or scheduler-driven) and the full
@@ -23,6 +26,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import serde
+from repro.core.costs import CostModel
 from repro.core.semantics import SemanticsPolicy
 from repro.errors import ProcessCrashed
 from repro.puma.app import PumaApp
@@ -40,14 +44,24 @@ from repro.scuba.table import ScubaTable
 from repro.storage.hbase import HBaseTable
 from repro.storage.lsm import LsmStore
 from repro.storage.merge import CounterMergeOperator
-from repro.stylus.checkpointing import CheckpointPolicy
-from repro.stylus.engine import StylusTask
+from repro.stylus.checkpointing import (
+    CheckpointPolicy,
+    CrashInjector,
+    CrashPoint,
+)
+from repro.stylus.engine import Strategy, StylusTask
 from repro.stylus.state import InMemoryStateBackend
 from repro.stylus.windowed import WindowedAggregator
 from repro.swift.engine import SwiftApp
 
 from tests.property.puma_row_oracle import RowOraclePumaApp
-from tests.stylus.helpers import EchoProcessor
+from tests.property.stylus_message_oracle import MessageOracleStylusTask
+from tests.property.swift_message_oracle import PerMessageOracleSwiftApp
+from tests.stylus.helpers import (
+    CountingProcessor,
+    DimensionCounter,
+    EchoProcessor,
+)
 
 POISON = "<poison>"
 
@@ -76,9 +90,48 @@ POLICIES = {
 }
 
 
-def _run_pipeline(items, batch_plan, checkpoint_every, policy_name,
-                  force_per_message):
-    """Write ``items`` to Scribe, drain them through a task, fingerprint."""
+def _windowed_processor():
+    return WindowedAggregator(
+        window_seconds=30.0, operator=CounterMergeOperator(),
+        extract=lambda e: [(f"g{int(e['seq']) % 3}", 1)],
+        confidence=0.9, sample_size=16,
+    )
+
+
+PROCESSORS = {
+    "echo": EchoProcessor,
+    "counting": CountingProcessor,
+    "windowed": _windowed_processor,
+    "monoid": DimensionCounter,
+}
+
+#: Checkpoint triggers: (every_n_events, interval_seconds).
+triggers = st.one_of(
+    st.tuples(st.integers(1, 7), st.none()),
+    st.tuples(st.none(), st.sampled_from([0.5, 2.0, 5.0])),
+    st.tuples(st.integers(1, 7), st.sampled_from([0.5, 2.0, 5.0])),
+)
+
+#: Up to three armed kill points, each at one checkpoint index.
+crash_plans = st.lists(
+    st.tuples(st.sampled_from(list(CrashPoint)), st.integers(1, 5)),
+    max_size=3, unique=True,
+)
+
+#: Large enough per-event costs that modeled time triggers checkpoints.
+COST_MODEL = CostModel(receive_per_event=0.3, deserialize_per_event=0.2,
+                       process_per_event=0.1, checkpoint_sync=0.5)
+
+
+def _run_stylus(task_class, items, batch_plan, trigger, policy_name,
+                processor_name="echo", strategy=Strategy.OVERLAPPED,
+                cost_model=None, crashes=(), advances=(0.0,)):
+    """Write ``items`` to Scribe, drain them through a task, fingerprint.
+
+    A crashed task is restarted from its checkpoint and draining goes
+    on; ``advances`` moves the task's clock between pumps, so time
+    triggers fire at different points of the stream.
+    """
     scribe = ScribeStore(clock=SimClock())
     scribe.create_category("in", num_buckets=1)
     scribe.create_category("out", num_buckets=1)
@@ -89,41 +142,62 @@ def _run_pipeline(items, batch_plan, checkpoint_every, policy_name,
         else:
             writer.write_to_bucket(item, 0)
 
+    every_n, interval = trigger
+    injector = CrashInjector()
+    for point, index in crashes:
+        injector.arm(point, index)
+    clock = SimClock()
     backend = InMemoryStateBackend("task")
-    task = StylusTask("task", scribe, "in", 0, EchoProcessor(),
+    task = task_class("task", scribe, "in", 0,
+                      PROCESSORS[processor_name](),
                       semantics=POLICIES[policy_name](),
                       state_backend=backend,
                       checkpoint_policy=CheckpointPolicy(
-                          every_n_events=checkpoint_every),
-                      output_category="out",
-                      clock=SimClock())
-    task._force_per_message = force_per_message
-    assert task._use_batched_decode() != force_per_message
+                          every_n_events=every_n,
+                          interval_seconds=interval),
+                      output_category="out", clock=clock,
+                      crash_injector=injector, cost_model=cost_model,
+                      strategy=strategy)
 
-    plan_index = 0
+    step = 0
     while True:
-        size = batch_plan[plan_index % len(batch_plan)]
-        plan_index += 1
-        if task.pump(size) == 0:
+        if task.crashed:
+            task.restart()
+        size = batch_plan[step % len(batch_plan)]
+        clock.advance(advances[step % len(advances)])
+        step += 1
+        if task.pump(size) == 0 and not task.crashed:
             break
     task.checkpoint_now()
 
     out_reader = ScribeReader(scribe, "out", 0)
     emitted = [(m.offset, m.payload) for m in out_reader.read_batch(100_000)]
     state, offset = backend.load()
+    timeline = task.timeline
     return {
         "emitted": emitted,
         "committed": backend.committed_outputs(),
         "state": state,
+        "live_state": task.state,
+        "partials": task.partials,
         "checkpoint_offset": offset,
         "checkpoint_index": task._checkpoint_index,
         "next_offset": task._next_offset,
-        "events": task._events_counter.value,
-        "poison": task._poison_counter.value,
-        "outputs": task._outputs_counter.value,
-        "checkpoints": task._checkpoints_counter.value,
+        "crashed": task.crashed,
+        "crashes_fired": injector.crashes_fired,
+        "counters": {name: value
+                     for name, value in task.metrics.snapshot().items()
+                     if name.startswith("stylus.")},
         "low_watermark": task.low_watermark(),
+        "timeline": (None if timeline is None
+                     else (timeline.resources, timeline.busy)),
     }
+
+
+def _assert_matches_oracle(**kwargs):
+    production = _run_stylus(StylusTask, **kwargs)
+    oracle = _run_stylus(MessageOracleStylusTask, **kwargs)
+    assert production == oracle
 
 
 @pytest.mark.parametrize("policy_name", sorted(POLICIES))
@@ -132,11 +206,31 @@ def _run_pipeline(items, batch_plan, checkpoint_every, policy_name,
        checkpoint_every=st.integers(1, 7))
 def test_batched_and_per_message_paths_are_equivalent(
         policy_name, items, batch_plan, checkpoint_every):
-    batched = _run_pipeline(items, batch_plan, checkpoint_every,
-                            policy_name, force_per_message=False)
-    single = _run_pipeline(items, batch_plan, checkpoint_every,
-                           policy_name, force_per_message=True)
-    assert batched == single
+    _assert_matches_oracle(items=items, batch_plan=batch_plan,
+                           trigger=(checkpoint_every, None),
+                           policy_name=policy_name)
+
+
+@pytest.mark.parametrize("policy_name", sorted(POLICIES))
+@pytest.mark.parametrize("strategy", list(Strategy))
+@settings(max_examples=60, deadline=None)
+@given(items=streams, batch_plan=batch_plans, trigger=triggers,
+       processor_name=st.sampled_from(sorted(PROCESSORS)),
+       with_cost_model=st.booleans(), crashes=crash_plans,
+       advances=st.lists(st.sampled_from([0.0, 0.0, 1.0, 3.0]),
+                         min_size=1, max_size=4))
+def test_stylus_matches_message_oracle_under_crashes_and_time(
+        policy_name, strategy, items, batch_plan, trigger, processor_name,
+        with_cost_model, crashes, advances):
+    """Every execution knob at once: buffered or overlapped, count and
+    time triggers with the clock moving between pumps, a cost model's
+    modeled timeline, and armed kill points (mid-processing included)."""
+    _assert_matches_oracle(
+        items=items, batch_plan=batch_plan, trigger=trigger,
+        policy_name=policy_name, processor_name=processor_name,
+        strategy=strategy,
+        cost_model=COST_MODEL if with_cost_model else None,
+        crashes=crashes, advances=advances)
 
 
 @settings(max_examples=60, deadline=None)
@@ -171,65 +265,15 @@ def test_decode_batch_strict_raises_on_poison():
 # -- Stylus windowed aggregation ------------------------------------------------
 
 
-def _run_windowed(items, batch_plan, checkpoint_every, force_per_message):
-    scribe = ScribeStore(clock=SimClock())
-    scribe.create_category("in", num_buckets=1)
-    scribe.create_category("out", num_buckets=1)
-    writer = ScribeWriter(scribe, "in")
-    for item in items:
-        if item == POISON:
-            scribe.write("in", b"\xff{not json")
-        else:
-            writer.write_to_bucket(item, 0)
-
-    processor = WindowedAggregator(
-        window_seconds=30.0, operator=CounterMergeOperator(),
-        extract=lambda e: [(f"g{int(e['seq']) % 3}", 1)],
-        confidence=0.9, sample_size=16,
-    )
-    backend = InMemoryStateBackend("win")
-    task = StylusTask("win", scribe, "in", 0, processor,
-                      state_backend=backend,
-                      checkpoint_policy=CheckpointPolicy(
-                          every_n_events=checkpoint_every),
-                      output_category="out",
-                      clock=SimClock())
-    task._force_per_message = force_per_message
-
-    plan_index = 0
-    while True:
-        size = batch_plan[plan_index % len(batch_plan)]
-        plan_index += 1
-        if task.pump(size) == 0:
-            break
-    task.checkpoint_now()
-
-    out_reader = ScribeReader(scribe, "out", 0)
-    emitted = [(m.offset, m.payload) for m in out_reader.read_batch(100_000)]
-    state, offset = backend.load()
-    return {
-        "emitted": emitted,
-        "live_state": task.state,
-        "saved_state": state,
-        "checkpoint_offset": offset,
-        "events": task._events_counter.value,
-        "poison": task._poison_counter.value,
-        "outputs": task._outputs_counter.value,
-        "checkpoints": task._checkpoints_counter.value,
-        "late": processor.late_events(task.state),
-    }
-
-
 @settings(max_examples=40, deadline=None)
 @given(items=streams, batch_plan=batch_plans,
        checkpoint_every=st.integers(1, 7))
 def test_windowed_batched_matches_per_message(items, batch_plan,
                                               checkpoint_every):
-    batched = _run_windowed(items, batch_plan, checkpoint_every,
-                            force_per_message=False)
-    single = _run_windowed(items, batch_plan, checkpoint_every,
-                           force_per_message=True)
-    assert batched == single
+    _assert_matches_oracle(items=items, batch_plan=batch_plan,
+                           trigger=(checkpoint_every, None),
+                           policy_name="at_least_once",
+                           processor_name="windowed")
 
 
 # -- Puma -----------------------------------------------------------------------
@@ -400,7 +444,7 @@ class _BatchRecorder(_Recorder):
 
 
 def _run_swift(payloads, batch_plan, every_messages, every_bytes,
-               use_batch_client, crash_at=None):
+               use_batch_client, crash_at=None, app_class=SwiftApp):
     scribe = ScribeStore(clock=SimClock())
     scribe.create_category("in", num_buckets=1)
     for payload in payloads:
@@ -410,9 +454,9 @@ def _run_swift(payloads, batch_plan, every_messages, every_bytes,
     delivered = []
     client_cls = _BatchRecorder if use_batch_client else _Recorder
     client = client_cls(delivered, crash_at)
-    app = SwiftApp("app", scribe, "in", 0, client, checkpoints,
-                   checkpoint_every_messages=every_messages,
-                   checkpoint_every_bytes=every_bytes)
+    app = app_class("app", scribe, "in", 0, client, checkpoints,
+                    checkpoint_every_messages=every_messages,
+                    checkpoint_every_bytes=every_bytes)
 
     plan_index = 0
     while True:
@@ -432,21 +476,27 @@ swift_payloads = st.lists(st.binary(min_size=0, max_size=30),
 @settings(max_examples=40, deadline=None)
 @given(payloads=swift_payloads, batch_plan=batch_plans,
        every_messages=st.one_of(st.none(), st.integers(1, 9)),
-       every_bytes=st.one_of(st.none(), st.integers(1, 120)))
+       every_bytes=st.one_of(st.none(), st.integers(1, 120)),
+       crash_at=st.one_of(st.none(), st.integers(1, 20)))
 def test_swift_batch_client_matches_per_message(payloads, batch_plan,
-                                                every_messages, every_bytes):
+                                                every_messages, every_bytes,
+                                                crash_at):
+    """Production delivery equals the per-message oracle: a batch client
+    (crash-free) and a per-message client (crashing or not) see the same
+    messages and save the same offsets, in the same order."""
     if every_messages is None and every_bytes is None:
         every_messages = 3
-    runs = [
-        _run_swift(payloads, batch_plan, every_messages, every_bytes,
-                   use_batch_client=flag)
-        for flag in (True, False)
-    ]
-    (batched_seen, batched_ckpt), (single_seen, single_ckpt) = runs
-    assert batched_seen == single_seen
-    assert batched_ckpt.offset_log == single_ckpt.offset_log
-    assert (batched_ckpt.load("app", "in", 0)
-            == single_ckpt.load("app", "in", 0))
+    oracle_seen, oracle_ckpt = _run_swift(
+        payloads, batch_plan, every_messages, every_bytes,
+        use_batch_client=False, crash_at=crash_at,
+        app_class=PerMessageOracleSwiftApp)
+    arms = [False] if crash_at is not None else [False, True]
+    for use_batch_client in arms:
+        seen, ckpt = _run_swift(payloads, batch_plan, every_messages,
+                                every_bytes, use_batch_client, crash_at)
+        assert seen == oracle_seen
+        assert ckpt.offset_log == oracle_ckpt.offset_log
+        assert ckpt.load("app", "in", 0) == oracle_ckpt.load("app", "in", 0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -455,13 +505,15 @@ def test_swift_batch_client_matches_per_message(payloads, batch_plan,
 def test_swift_crash_recovery_is_semantically_equivalent(
         payloads, batch_plan, every_messages, crash_at):
     """A batch client loses the whole crashed segment instead of a
-    suffix, so the replayed duplicates differ — but at-least-once
-    delivery of everything, and the final checkpoint, must hold on both
-    paths."""
+    suffix, so the replayed duplicates differ from the per-message
+    oracle — but at-least-once delivery of everything, and the final
+    checkpoint, must hold on both."""
     runs = [
         _run_swift(payloads, batch_plan, every_messages, None,
-                   use_batch_client=flag, crash_at=crash_at)
-        for flag in (True, False)
+                   use_batch_client=True, crash_at=crash_at),
+        _run_swift(payloads, batch_plan, every_messages, None,
+                   use_batch_client=False, crash_at=crash_at,
+                   app_class=PerMessageOracleSwiftApp),
     ]
     all_offsets = set(range(len(payloads)))
     finals = []

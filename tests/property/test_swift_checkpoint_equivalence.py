@@ -1,12 +1,14 @@
-"""Property: Swift's batched delivery checkpoints exactly like the
-per-message path, including under crashes at every segment boundary.
+"""Property: Swift's segment delivery checkpoints exactly like the
+per-message oracle, including under crashes at every segment boundary.
 
-The batched path exists purely to cut per-message call overhead; it must
+Segment delivery exists purely to cut per-message call overhead; it must
 be observationally equivalent where it matters for correctness — the
 sequence of checkpoint offsets it saves. We derive the segment
-boundaries from a crash-free per-message reference run (which also makes
-the byte-threshold configs self-calibrating), then crash both client
-styles at each boundary and compare every offset either path ever saved.
+boundaries from a crash-free run of the per-message oracle
+(``PerMessageOracleSwiftApp``, which also makes the byte-threshold
+configs self-calibrating), then crash the oracle and production — with
+a batch client and with a per-message client behind its adapter — at
+each boundary and compare every offset any of them ever saved.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -18,6 +20,7 @@ from repro.scribe.store import ScribeStore
 from repro.swift.engine import SwiftApp
 
 from tests.conftest import write_events
+from tests.property.swift_message_oracle import PerMessageOracleSwiftApp
 
 
 class RecordingCheckpoints(CheckpointStore):
@@ -62,17 +65,25 @@ class BatchClient:
         self.seen.extend(m.decode()["seq"] for m in messages)
 
 
-def run(total, every_messages, every_bytes, batched, crash_at=None):
+#: The ways to run one stream: label -> (app class, client class).
+ARMS = {
+    "oracle": (PerMessageOracleSwiftApp, PerMessageClient),
+    "per_message": (SwiftApp, PerMessageClient),
+    "batched": (SwiftApp, BatchClient),
+}
+
+
+def run(total, every_messages, every_bytes, arm, crash_at=None):
     clock = SimClock()
     scribe = ScribeStore(clock=clock)
     scribe.create_category("in", 1)
     write_events(scribe, "in", total)
     checkpoints = RecordingCheckpoints()
-    client = (BatchClient(clock, crash_at) if batched
-              else PerMessageClient(clock, crash_at))
-    app = SwiftApp("app", scribe, "in", 0, client, checkpoints,
-                   checkpoint_every_messages=every_messages,
-                   checkpoint_every_bytes=every_bytes)
+    app_class, client_class = ARMS[arm]
+    client = client_class(clock, crash_at)
+    app = app_class("app", scribe, "in", 0, client, checkpoints,
+                    checkpoint_every_messages=every_messages,
+                    checkpoint_every_bytes=every_bytes)
     app.pump(10_000)
     crashed = app.crashed
     if crashed:
@@ -88,14 +99,14 @@ def run(total, every_messages, every_bytes, batched, crash_at=None):
        every_bytes=st.one_of(st.none(), st.integers(30, 500)))
 def test_batched_path_checkpoints_identically_under_boundary_crashes(
         total, every_messages, every_bytes):
-    reference, seen, _ = run(total, every_messages, every_bytes,
-                             batched=False)
+    reference, seen, _ = run(total, every_messages, every_bytes, "oracle")
     assert sorted(seen) == list(range(total))
 
     # Crash-free equivalence first.
-    offsets, seen, _ = run(total, every_messages, every_bytes, batched=True)
-    assert offsets == reference
-    assert sorted(seen) == list(range(total))
+    for arm in ("per_message", "batched"):
+        offsets, seen, _ = run(total, every_messages, every_bytes, arm)
+        assert offsets == reference
+        assert sorted(seen) == list(range(total))
 
     # Then a crash at every segment boundary the reference run revealed
     # (offsets are absolute; bucket history starts at 0, so the offset IS
@@ -104,14 +115,15 @@ def test_batched_path_checkpoints_identically_under_boundary_crashes(
         if boundary >= total:
             continue  # no delivery follows the final checkpoint
         results = {}
-        for batched in (False, True):
+        for arm in ARMS:
             offsets, seen, crashed = run(total, every_messages, every_bytes,
-                                         batched=batched, crash_at=boundary)
+                                         arm, crash_at=boundary)
             assert crashed
             # At-least-once: after restart + drain, everything was seen.
             assert sorted(set(seen)) == list(range(total))
-            results[batched] = offsets
-        assert results[True] == results[False], (
+            results[arm] = offsets
+        assert results["oracle"] == results["per_message"] \
+            == results["batched"], (
             f"checkpoint sequences diverged for crash at {boundary}")
 
 
@@ -120,14 +132,21 @@ def test_batched_path_checkpoints_identically_under_boundary_crashes(
        offset_in_segment=st.integers(1, 7))
 def test_mid_segment_crashes_never_diverge_saved_offsets(
         total, every_messages, offset_in_segment):
-    """A crash strictly inside a segment delivers partial work on the
-    per-message path and none on the batched path — but neither saves a
-    checkpoint for the torn segment, so the offset logs still match."""
+    """A crash strictly inside a segment delivers the torn segment's
+    prefix to a per-message client and none of it to a batch client —
+    but no arm saves a checkpoint for the torn segment, so the offset
+    logs still match, and a per-message client sees exactly what the
+    oracle shows it."""
     crash_at = min(every_messages * 2 - 1,
                    every_messages + (offset_in_segment % every_messages))
-    reference, seen, _ = run(total, every_messages, None, batched=False,
-                             crash_at=crash_at)
-    offsets, batch_seen, _ = run(total, every_messages, None, batched=True,
+    reference, oracle_seen, _ = run(total, every_messages, None, "oracle",
+                                    crash_at=crash_at)
+    offsets, seen, _ = run(total, every_messages, None, "per_message",
+                           crash_at=crash_at)
+    assert offsets == reference
+    assert seen == oracle_seen
+    offsets, batch_seen, _ = run(total, every_messages, None, "batched",
                                  crash_at=crash_at)
     assert offsets == reference
-    assert sorted(set(seen)) == sorted(set(batch_seen)) == list(range(total))
+    assert (sorted(set(oracle_seen)) == sorted(set(batch_seen))
+            == list(range(total)))

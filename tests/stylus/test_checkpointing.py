@@ -73,3 +73,26 @@ class TestCrashInjector:
         injector.arm(CrashPoint.AFTER_FIRST_SAVE, 1)
         injector.arm(CrashPoint.AFTER_FIRST_SAVE, 2)
         assert injector.armed_count() == 2
+
+    @pytest.mark.parametrize("point", list(CrashPoint))
+    def test_armed_agrees_with_fire(self, point):
+        injector = CrashInjector()
+        injector.arm(point, 2)
+        for other in CrashPoint:
+            for index in (1, 2, 3):
+                expected = (other, index) == (point, 2)
+                assert injector.armed(other, index) is expected
+                if expected:
+                    with pytest.raises(ProcessCrashed):
+                        injector.fire(other, index, "t", 0.0)
+                else:
+                    injector.fire(other, index, "t", 0.0)  # no raise
+        # Fired once, so disarmed.
+        assert not injector.armed(point, 2)
+
+    @pytest.mark.parametrize("point", list(CrashPoint))
+    def test_no_crashes_is_never_armed(self, point):
+        injector = NoCrashes()
+        injector.arm(point, 1)
+        assert not injector.armed(point, 1)
+        injector.fire(point, 1, "t", 0.0)  # no raise

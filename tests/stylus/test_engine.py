@@ -1,11 +1,16 @@
 """Tests for the Stylus task/job engine: processing, output, watermarks."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.semantics import SemanticsPolicy
+from repro.runtime import clock as clock_module
+from repro.runtime.clock import WallClock
 from repro.scribe.reader import CategoryReader
 from repro.stylus.checkpointing import CheckpointPolicy
 from repro.stylus.engine import StylusJob, StylusTask
+from repro.stylus.state import InMemoryStateBackend
 
 from tests.conftest import write_events
 from tests.stylus.helpers import CountingProcessor, DimensionCounter, DropEvens, EchoProcessor
@@ -98,6 +103,41 @@ class TestCheckpointPolicy:
         write_events(wired, "in", 1, start_time=100.0)
         task.pump()
         assert task.metrics.counter("stylus.t.checkpoints").value == 1
+
+    def test_wall_clock_time_trigger_lands_at_chunk_end(self, wired,
+                                                          monkeypatch):
+        """Wall time moving mid-chunk defers a due time-triggered
+        checkpoint to the end of that chunk (one read batch, here), no
+        later."""
+        wall = [0.0]
+        monkeypatch.setattr(clock_module, "time",
+                            SimpleNamespace(monotonic=lambda: wall[0]))
+
+        class SlowCounter(CountingProcessor):
+            def process(self, event, state):
+                wall[0] += 1.0  # one wall second per event
+                return super().process(event, state)
+
+        saved = []
+
+        class LoggingBackend(InMemoryStateBackend):
+            def save_offset(self, offset):
+                saved.append(offset)
+                super().save_offset(offset)
+
+        task = StylusTask("t", wired, "in", 0, SlowCounter(),
+                          state_backend=LoggingBackend("t"),
+                          checkpoint_policy=CheckpointPolicy(
+                              interval_seconds=2.5),
+                          clock=WallClock())
+        write_events(wired, "in", 10)
+        task.pump()
+        # Due after the third event, taken at the chunk's end.
+        assert saved == [10]
+        write_events(wired, "in", 150, start_time=10.0)
+        task.pump()
+        # Read batches hold at most 100 messages: chunks end at 110, 160.
+        assert saved == [10, 110, 160]
 
     def test_checkpoint_now_forces(self, wired):
         write_events(wired, "in", 3)

@@ -4,9 +4,10 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.scribe.checkpoints import CheckpointStore
-from repro.swift.engine import SwiftApp, crash_after
+from repro.swift.engine import SwiftApp
 
 from tests.conftest import write_events
+from tests.swift.helpers import crash_after
 
 
 @pytest.fixture
@@ -69,6 +70,22 @@ class TestAtLeastOnceReplay:
         app.pump()
         assert replay[0] == 20
         assert seen + replay == list(range(25)) + list(range(20, 40))
+
+    def test_mid_segment_crash_counts_only_whole_segments(self, wired):
+        """A per-message client that crashes inside a segment has seen
+        the segment's prefix, but ``pump`` counts only the segments
+        that completed; the torn one's offset is never saved."""
+        checkpoints = CheckpointStore()
+        seen = []
+        client = crash_after(25, lambda m: seen.append(m.decode()["seq"]),
+                             wired)
+        app = SwiftApp("app", wired, "in", 0, client, checkpoints,
+                       checkpoint_every_messages=10)
+        write_events(wired, "in", 40)
+        assert app.pump() == 20
+        assert app.crashed
+        assert seen == list(range(25))
+        assert checkpoints.load("app", "in", 0).offset == 20
 
     def test_every_message_seen_at_least_once(self, wired):
         """The Swift guarantee: union of deliveries covers the stream."""
